@@ -377,14 +377,7 @@ fn main() {
     let out_path = std::env::args()
         .nth(1)
         .unwrap_or_else(|| "BENCH_fom.json".to_string());
-    let threads: Vec<usize> = std::env::var("VIBE_BENCH_THREADS")
-        .ok()
-        .map(|s| {
-            s.split(',')
-                .map(|t| t.trim().parse().expect("thread count"))
-                .collect()
-        })
-        .unwrap_or_else(|| vec![1, 8]);
+    let threads: Vec<usize> = vibe_bench::env_list("VIBE_BENCH_THREADS", &[1, 8]);
 
     let mut results = Vec::new();
     for &t in &threads {
@@ -454,14 +447,7 @@ fn main() {
     // concurrent rank shards over the channel transport (`vibe-rt`), one
     // OS thread per rank. The fingerprint of every merged run must equal
     // the single-process runs'.
-    let ranks: Vec<usize> = std::env::var("VIBE_BENCH_RANKS")
-        .ok()
-        .map(|s| {
-            s.split(',')
-                .map(|t| t.trim().parse().expect("rank count"))
-                .collect()
-        })
-        .unwrap_or_else(|| vec![1, 2, 4, 8]);
+    let ranks: Vec<usize> = vibe_bench::env_list("VIBE_BENCH_RANKS", &[1, 2, 4, 8]);
     let mut rank_runs = Vec::new();
     for &n in &ranks {
         eprintln!("probe: rank-parallel run, ranks={n} (1 thread per shard) ...");

@@ -15,25 +15,13 @@
 //! document when a path is given. Override the matrix with
 //! `VIBE_FT_RANKS=2,4,8` and `VIBE_FT_THREADS=1,8` (the defaults).
 
-use std::fmt::Write as _;
 use std::sync::Arc;
 
-use vibe_bench::{format_table, run_workload_distributed, WorkloadSpec};
+use vibe_bench::{env_list, format_table, run_workload_distributed, splice_section, WorkloadSpec};
 use vibe_core::driver::DriverParams;
 use vibe_core::{restore_driver, Driver, DynPackage, PackageSpec, Snapshot};
 use vibe_ft::{FaultPlan, FaultPlanSpec, FaultStats, KillSpec};
 use vibe_rt::{run_resilient, ResilienceOptions, RtSession, SessionOptions};
-
-fn axis(var: &str, default: &[usize]) -> Vec<usize> {
-    std::env::var(var)
-        .ok()
-        .map(|s| {
-            s.split(',')
-                .map(|t| t.trim().parse().expect("axis entry"))
-                .collect()
-        })
-        .unwrap_or_else(|| default.to_vec())
-}
 
 /// One rank's replica for the resilient factory: fresh from the initial
 /// condition, or restored from a recovery checkpoint — in both cases
@@ -68,39 +56,10 @@ fn replica(spec: &WorkloadSpec, snapshot: Option<&Snapshot>, nranks: usize) -> D
     }
 }
 
-/// Splices a single-line `"resilience": {...}` entry into the bench JSON
-/// (replacing any previous one), or creates a minimal document when the
-/// file does not exist yet.
-fn splice_resilience(path: &str, section: &str) -> std::io::Result<()> {
-    let existing = std::fs::read_to_string(path).unwrap_or_else(|_| "{\n}\n".to_string());
-    let kept: Vec<&str> = existing
-        .lines()
-        .filter(|l| !l.trim_start().starts_with("\"resilience\":"))
-        .collect();
-    let comma = if kept.iter().any(|l| l.trim_start().starts_with('"')) {
-        ","
-    } else {
-        ""
-    };
-    let mut out = String::with_capacity(existing.len() + section.len() + 32);
-    let mut inserted = false;
-    for line in kept {
-        out.push_str(line);
-        out.push('\n');
-        if !inserted && line.trim() == "{" {
-            let _ = writeln!(out, "  \"resilience\": {section}{comma}");
-            inserted = true;
-        }
-    }
-    assert!(inserted, "bench JSON must open with a '{{' line");
-    vibe_prof::validate_json(&out).expect("spliced bench JSON stays well-formed");
-    std::fs::write(path, out)
-}
-
 fn main() {
     let bench_path = std::env::args().nth(1);
-    let ranks = axis("VIBE_FT_RANKS", &[2, 4, 8]);
-    let threads = axis("VIBE_FT_THREADS", &[1, 8]);
+    let ranks = env_list("VIBE_FT_RANKS", &[2, 4, 8]);
+    let threads = env_list("VIBE_FT_THREADS", &[1, 8]);
     let cycles = 6u64;
     let base = WorkloadSpec {
         mesh_cells: 16,
@@ -246,7 +205,7 @@ fn main() {
             total_stall_ns as f64 / 1e6,
             reference_fp,
         );
-        splice_resilience(&path, &section).expect("write bench JSON");
+        splice_section(&path, "resilience", &section).expect("write bench JSON");
         println!("resilience section written to {path}");
     }
 }

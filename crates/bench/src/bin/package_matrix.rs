@@ -14,25 +14,14 @@
 
 use std::collections::BTreeMap;
 
-use vibe_bench::{format_table, run_workload, run_workload_distributed, WorkloadSpec};
+use vibe_bench::{env_list, format_table, run_workload, run_workload_distributed, WorkloadSpec};
 
 /// The packages this gate probes; checked against the registry roster.
 const PACKAGES: &[&str] = &["advect", "burgers", "diffusion", "euler"];
 
-fn axis(var: &str, default: &[usize]) -> Vec<usize> {
-    std::env::var(var)
-        .ok()
-        .map(|s| {
-            s.split(',')
-                .map(|t| t.trim().parse().expect("axis entry"))
-                .collect()
-        })
-        .unwrap_or_else(|| default.to_vec())
-}
-
 fn main() {
-    let ranks = axis("VIBE_PKG_RANKS", &[1, 2, 4, 8]);
-    let threads = axis("VIBE_PKG_THREADS", &[1, 8]);
+    let ranks = env_list("VIBE_PKG_RANKS", &[1, 2, 4, 8]);
+    let threads = env_list("VIBE_PKG_THREADS", &[1, 8]);
     let registered = vibe_physics::standard_registry().names();
     assert_eq!(
         registered, PACKAGES,

@@ -6,22 +6,11 @@
 //! Usage: `rt_gate` — override the matrix with `VIBE_RT_RANKS=1,2,8` and
 //! `VIBE_RT_THREADS=1,8` (those are the defaults).
 
-use vibe_bench::{format_table, run_workload, run_workload_distributed, WorkloadSpec};
-
-fn axis(var: &str, default: &[usize]) -> Vec<usize> {
-    std::env::var(var)
-        .ok()
-        .map(|s| {
-            s.split(',')
-                .map(|t| t.trim().parse().expect("axis entry"))
-                .collect()
-        })
-        .unwrap_or_else(|| default.to_vec())
-}
+use vibe_bench::{env_list, format_table, run_workload, run_workload_distributed, WorkloadSpec};
 
 fn main() {
-    let ranks = axis("VIBE_RT_RANKS", &[1, 2, 8]);
-    let threads = axis("VIBE_RT_THREADS", &[1, 8]);
+    let ranks = env_list("VIBE_RT_RANKS", &[1, 2, 8]);
+    let threads = env_list("VIBE_RT_THREADS", &[1, 8]);
     let base = WorkloadSpec {
         mesh_cells: 16,
         block_cells: 8,

@@ -22,27 +22,11 @@
 
 use std::fmt::Write as _;
 
-use vibe_bench::{run_workload, run_workload_distributed, WorkloadSpec};
+use vibe_bench::{
+    env_list, env_scalar, run_workload, run_workload_distributed, splice_section, WorkloadSpec,
+};
 use vibe_prof::{validate_flow_events, Attribution, ProfLevel};
 use vibe_rt::RtRun;
-
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .map(|s| s.trim().parse().expect("numeric env override"))
-        .unwrap_or(default)
-}
-
-fn env_list(name: &str, default: &[usize]) -> Vec<usize> {
-    std::env::var(name)
-        .ok()
-        .map(|s| {
-            s.split(',')
-                .map(|t| t.trim().parse().expect("numeric list env override"))
-                .collect()
-        })
-        .unwrap_or_else(|| default.to_vec())
-}
 
 struct RankReport {
     ranks: usize,
@@ -113,45 +97,14 @@ fn critical_path_line(attr: &Attribution) -> String {
     out
 }
 
-/// Splices a single-line `"attribution": {...}` entry into the bench JSON
-/// (replacing any previous one), or creates a minimal document when the
-/// file does not exist yet.
-fn splice_attribution(path: &str, section: &str) -> std::io::Result<()> {
-    let existing = std::fs::read_to_string(path).unwrap_or_else(|_| "{\n}\n".to_string());
-    let kept: Vec<&str> = existing
-        .lines()
-        .filter(|l| !l.trim_start().starts_with("\"attribution\":"))
-        .collect();
-    // Comma only if the document keeps other keys (a scratch file from a
-    // previous run may hold nothing but the stale attribution line).
-    let comma = if kept.iter().any(|l| l.trim_start().starts_with('"')) {
-        ","
-    } else {
-        ""
-    };
-    let mut out = String::with_capacity(existing.len() + section.len() + 32);
-    let mut inserted = false;
-    for line in kept {
-        out.push_str(line);
-        out.push('\n');
-        if !inserted && line.trim() == "{" {
-            let _ = writeln!(out, "  \"attribution\": {section}{comma}");
-            inserted = true;
-        }
-    }
-    assert!(inserted, "bench JSON must open with a '{{' line");
-    vibe_prof::validate_json(&out).expect("spliced bench JSON stays well-formed");
-    std::fs::write(path, out)
-}
-
 fn main() {
     let bench_path = std::env::args()
         .nth(1)
         .unwrap_or_else(|| "BENCH_fom.json".to_string());
-    let mesh_cells = env_usize("VIBE_SCALE_MESH", 64);
-    let block_cells = env_usize("VIBE_SCALE_BLOCK", 16);
-    let levels = env_usize("VIBE_SCALE_LEVELS", 2) as u32;
-    let cycles = env_usize("VIBE_SCALE_CYCLES", 3) as u64;
+    let mesh_cells = env_scalar("VIBE_SCALE_MESH", 64);
+    let block_cells = env_scalar("VIBE_SCALE_BLOCK", 16);
+    let levels = env_scalar("VIBE_SCALE_LEVELS", 2) as u32;
+    let cycles = env_scalar("VIBE_SCALE_CYCLES", 3) as u64;
     let ranks = env_list("VIBE_SCALE_RANKS", &[1, 2, 4, 8]);
     let threads = env_list("VIBE_SCALE_THREADS", &[1, 8]);
     let trace_dir =
@@ -336,7 +289,7 @@ fn main() {
         );
     }
     section.push('}');
-    splice_attribution(&bench_path, &section).expect("write bench JSON");
+    splice_section(&bench_path, "attribution", &section).expect("write bench JSON");
     eprintln!("attribution section written to {bench_path}");
 
     if !failures.is_empty() {

@@ -27,13 +27,6 @@ use vibe_serve::http::Server;
 use vibe_serve::json::{parse, Json};
 use vibe_serve::{JobState, Service, ServiceConfig};
 
-fn env_u64(var: &str, default: u64) -> u64 {
-    std::env::var(var)
-        .ok()
-        .map(|s| s.trim().parse().expect("integer env var"))
-        .unwrap_or(default)
-}
-
 /// One-request HTTP/1.1 client (Connection: close), chunked-aware.
 fn http(port: u16, method: &str, path: &str, body: &str) -> (u16, String) {
     let mut stream = TcpStream::connect(("127.0.0.1", port)).expect("connect");
@@ -111,8 +104,8 @@ fn thread_names() -> Vec<String> {
 }
 
 fn main() {
-    let cycles = env_u64("VIBE_SERVE_CYCLES", 10);
-    let budget = env_u64("VIBE_SERVE_BUDGET", 2);
+    let cycles = vibe_bench::env_scalar("VIBE_SERVE_CYCLES", 10);
+    let budget = vibe_bench::env_scalar("VIBE_SERVE_BUDGET", 2);
     let wait = Duration::from_secs(600);
     // The kernel-launch worker pool is a process-lifetime singleton (its
     // workers deliberately persist, like rayon's). Pre-warm it at the

@@ -7,19 +7,8 @@
 //! Usage: `simd_gate` — override the matrices with `VIBE_SIMD_THREADS=1,8`
 //! and `VIBE_SIMD_RANKS=1,2,8` (those are the defaults).
 
-use vibe_bench::{format_table, run_workload, run_workload_distributed, WorkloadSpec};
+use vibe_bench::{env_list, format_table, run_workload, run_workload_distributed, WorkloadSpec};
 use vibe_burgers::FluxBackend;
-
-fn axis(var: &str, default: &[usize]) -> Vec<usize> {
-    std::env::var(var)
-        .ok()
-        .map(|s| {
-            s.split(',')
-                .map(|t| t.trim().parse().expect("axis entry"))
-                .collect()
-        })
-        .unwrap_or_else(|| default.to_vec())
-}
 
 fn backend_name(b: FluxBackend) -> &'static str {
     match b {
@@ -31,8 +20,8 @@ fn backend_name(b: FluxBackend) -> &'static str {
 }
 
 fn main() {
-    let threads = axis("VIBE_SIMD_THREADS", &[1, 8]);
-    let ranks = axis("VIBE_SIMD_RANKS", &[1, 2, 8]);
+    let threads = env_list("VIBE_SIMD_THREADS", &[1, 8]);
+    let ranks = env_list("VIBE_SIMD_RANKS", &[1, 2, 8]);
     // Block 16 exercises both the full-bundle path and the short exterior
     // bands that fall back to the scalar tail.
     let base = WorkloadSpec {

@@ -14,24 +14,17 @@
 
 use std::path::Path;
 
-use vibe_bench::{run_workload, WorkloadSpec};
+use vibe_bench::{env_scalar, run_workload, WorkloadSpec};
 use vibe_prof::{
     metrics_jsonl, perfetto_trace_json, summary_table, validate_json, validate_jsonl, ProfLevel,
 };
-
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .map(|s| s.trim().parse().unwrap_or_else(|_| panic!("bad {name}")))
-        .unwrap_or(default)
-}
 
 fn main() {
     let out_dir = std::env::args()
         .nth(1)
         .unwrap_or_else(|| "target/trace-probe".to_string());
-    let threads = env_usize("VIBE_TRACE_THREADS", 8);
-    let cycles = env_usize("VIBE_TRACE_CYCLES", 3) as u64;
+    let threads = env_scalar("VIBE_TRACE_THREADS", 8);
+    let cycles = env_scalar("VIBE_TRACE_CYCLES", 3) as u64;
     let spec = WorkloadSpec {
         mesh_cells: 64,
         block_cells: 16,

@@ -10,6 +10,8 @@
 //! DESIGN.md), then evaluates the recorded workload against the H100/SPR
 //! platform models.
 
+use std::str::FromStr;
+
 use vibe_burgers::{BurgersPackage, BurgersParams, FluxBackend};
 use vibe_comm::CommEvent;
 use vibe_core::{CycleSummary, Driver, DriverParams, DynPackage, Package, PackageSpec};
@@ -107,7 +109,7 @@ pub struct WorkloadResult {
 /// and registration order — a deterministic fingerprint of the full
 /// simulation state, used to verify that thread count, profiling level,
 /// and rank-parallel execution never change results. The algorithm lives
-/// in [`vibe_core::fingerprint_slots`], shared with the `vibe-rt` shard
+/// in [`vibe_core::fingerprint_slots`], shared with the `vibe-rt` rank
 /// merge, so the driver and the distributed runtime hash the same way.
 pub fn state_fingerprint<P: Package>(driver: &Driver<P>) -> u64 {
     vibe_core::fingerprint_slots(driver.slots())
@@ -116,7 +118,7 @@ pub fn state_fingerprint<P: Package>(driver: &Driver<P>) -> u64 {
 /// Builds the workload's replica driver for `spec` — the deterministic
 /// construct-and-initialize sequence shared by [`run_workload`] (which
 /// steps it single-process) and [`run_workload_distributed`] (where every
-/// rank shard replays it independently).
+/// rank engine replays it independently).
 pub fn build_workload_replica(spec: &WorkloadSpec) -> Driver<DynPackage> {
     let pkg: DynPackage = if spec.physics == "burgers" {
         // Constructed directly rather than through the registry factory so
@@ -168,7 +170,7 @@ pub fn build_workload_replica(spec: &WorkloadSpec) -> Driver<DynPackage> {
 }
 
 /// Runs the Burgers benchmark for `spec` with `spec.nranks` *real*
-/// concurrent rank shards over the channel transport (the `vibe-rt`
+/// concurrent rank engines over the channel transport (the `vibe-rt`
 /// runtime), returning the merged run. The fingerprint in the result is
 /// bitwise comparable with [`run_workload`]'s.
 pub fn run_workload_distributed(spec: &WorkloadSpec) -> vibe_rt::RtRun {
@@ -251,6 +253,102 @@ pub fn sci(v: f64) -> String {
     format!("{v:.3e}")
 }
 
+/// Reads a comma-separated list from the environment variable `name`
+/// (entries trimmed), or `default` when it is unset.
+///
+/// # Panics
+///
+/// Panics naming `name` when an entry does not parse: a typo such as
+/// `VIBE_RT_RANKS=1,2x` must stop a gate, not quietly run a different
+/// configuration.
+pub fn env_list<T>(name: &str, default: &[T]) -> Vec<T>
+where
+    T: FromStr + Clone,
+    T::Err: std::fmt::Display,
+{
+    match std::env::var(name) {
+        Ok(raw) => raw.split(',').map(|t| parse_env(name, t)).collect(),
+        Err(_) => default.to_vec(),
+    }
+}
+
+/// Reads one value from the environment variable `name` (trimmed), or
+/// `default` when it is unset.
+///
+/// # Panics
+///
+/// Panics naming `name` when the value does not parse (see [`env_list`]).
+pub fn env_scalar<T>(name: &str, default: T) -> T
+where
+    T: FromStr,
+    T::Err: std::fmt::Display,
+{
+    match std::env::var(name) {
+        Ok(raw) => parse_env(name, &raw),
+        Err(_) => default,
+    }
+}
+
+fn parse_env<T>(name: &str, raw: &str) -> T
+where
+    T: FromStr,
+    T::Err: std::fmt::Display,
+{
+    raw.trim()
+        .parse()
+        .unwrap_or_else(|e| panic!("{name}: cannot parse {raw:?}: {e}"))
+}
+
+/// Splices a single-line `"key": section` entry into the bench JSON at
+/// `path` (replacing any previous entry for `key`), or creates a minimal
+/// document when the file does not exist yet.
+///
+/// # Errors
+///
+/// Propagates the write error.
+///
+/// # Panics
+///
+/// Panics if the existing document does not open with a `{` line, or if
+/// the result is not well-formed JSON.
+pub fn splice_section(path: &str, key: &str, section: &str) -> std::io::Result<()> {
+    let existing = std::fs::read_to_string(path).unwrap_or_else(|_| "{\n}\n".to_string());
+    std::fs::write(path, splice_json(&existing, key, section))
+}
+
+fn splice_json(existing: &str, key: &str, section: &str) -> String {
+    let entry = format!("\"{key}\":");
+    let existing = if existing.trim() == "{}" {
+        "{\n}\n"
+    } else {
+        existing
+    };
+    let kept: Vec<&str> = existing
+        .lines()
+        .filter(|l| !l.trim_start().starts_with(&entry))
+        .collect();
+    // Comma only if the document keeps other keys (a scratch file from a
+    // previous run may hold nothing but the stale entry).
+    let comma = if kept.iter().any(|l| l.trim_start().starts_with('"')) {
+        ","
+    } else {
+        ""
+    };
+    let mut out = String::with_capacity(existing.len() + section.len() + 32);
+    let mut inserted = false;
+    for line in kept {
+        out.push_str(line);
+        out.push('\n');
+        if !inserted && line.trim() == "{" {
+            out.push_str(&format!("  {entry} {section}{comma}\n"));
+            inserted = true;
+        }
+    }
+    assert!(inserted, "bench JSON must open with a '{{' line");
+    vibe_prof::validate_json(&out).expect("spliced bench JSON stays well-formed");
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -304,5 +402,69 @@ mod tests {
         assert_eq!(lines.len(), 4);
         assert!(lines[0].contains("Banana"));
         assert!(lines[3].ends_with("20000000"));
+    }
+
+    #[test]
+    fn splice_replaces_an_existing_key() {
+        let doc = "{\n  \"a\": 1,\n  \"b\": {\"x\": 2},\n  \"c\": 3\n}\n";
+        let out = splice_json(doc, "b", "{\"x\": 9}");
+        assert_eq!(out.matches("\"b\":").count(), 1);
+        assert!(out.contains("\"b\": {\"x\": 9},"));
+        assert!(!out.contains("\"x\": 2"));
+        assert!(out.contains("\"a\": 1") && out.contains("\"c\": 3"));
+    }
+
+    #[test]
+    fn splice_into_an_empty_document_adds_no_trailing_comma() {
+        for empty in ["{\n}\n", "{}"] {
+            let out = splice_json(empty, "k", "{\"v\": 1}");
+            assert_eq!(out, "{\n  \"k\": {\"v\": 1}\n}\n");
+        }
+        // A document holding only a stale entry for the key is empty too.
+        let stale = "{\n  \"k\": {\"v\": 0}\n}\n";
+        assert_eq!(
+            splice_json(stale, "k", "{\"v\": 1}"),
+            "{\n  \"k\": {\"v\": 1}\n}\n"
+        );
+    }
+
+    #[test]
+    fn splice_output_stays_valid_json() {
+        let doc = "{\n  \"runs\": [1, 2],\n  \"host\": \"x\"\n}\n";
+        let once = splice_json(doc, "resilience", "{\"gate\": \"pass\"}");
+        let twice = splice_json(&once, "attribution", "{\"ranks\": [1]}");
+        let again = splice_json(&twice, "resilience", "{\"gate\": \"fail\"}");
+        for doc in [&once, &twice, &again] {
+            assert!(vibe_prof::validate_json(doc).is_ok(), "{doc}");
+        }
+        assert_eq!(again.matches("\"resilience\":").count(), 1);
+        assert!(again.contains("\"gate\": \"fail\"") && !again.contains("\"pass\""));
+    }
+
+    #[test]
+    fn env_values_parse_or_name_the_variable() {
+        assert_eq!(parse_env::<usize>("VIBE_X", " 8 "), 8);
+        let list: Vec<usize> = "1, 2,8"
+            .split(',')
+            .map(|t| parse_env("VIBE_X", t))
+            .collect();
+        assert_eq!(list, [1, 2, 8]);
+        let err = std::panic::catch_unwind(|| parse_env::<usize>("VIBE_SIM_CYCLES", "2x"))
+            .expect_err("a malformed value must panic");
+        let msg = err
+            .downcast_ref::<String>()
+            .expect("formatted panic message");
+        assert!(
+            msg.contains("VIBE_SIM_CYCLES"),
+            "message names the variable: {msg}"
+        );
+        assert!(msg.contains("2x"), "message shows the value: {msg}");
+    }
+
+    #[test]
+    fn unset_env_vars_fall_back_to_defaults() {
+        let name = "VIBE_BENCH_TEST_SURELY_UNSET";
+        assert_eq!(env_scalar(name, 7u64), 7);
+        assert_eq!(env_list(name, &[1usize, 2]), [1, 2]);
     }
 }

@@ -59,7 +59,7 @@ pub struct CommEvent {
     pub seq: u64,
     /// Rank whose communicator stamped the event. The same-address-space
     /// transport stamps everything rank 0 (one driver executes every
-    /// virtual rank); rank shards stamp their own rank.
+    /// virtual rank); rank engines stamp their own rank.
     pub rank: usize,
     /// Simulation cycle the event belongs to.
     pub cycle: u64,
@@ -139,7 +139,7 @@ pub fn validate_event_order(events: &[CommEvent]) -> Result<usize, String> {
 }
 
 /// Checks the ordering invariants of a *merged multi-rank* event log — the
-/// concatenation of every rank shard's stream sorted by the shared `seq`
+/// concatenation of every rank engine's stream sorted by the shared `seq`
 /// counter:
 ///
 /// 1. sequence numbers are strictly increasing globally (the channel

@@ -39,7 +39,7 @@ struct Slot {
 /// whether a transfer is recorded as a *local copy* or a *remote message*),
 /// while the channel transport built by
 /// [`channel_fabric`](crate::transport::channel_fabric) carries messages
-/// between real concurrent rank shards. The mailbox owns message *matching*:
+/// between real concurrent rank engines. The mailbox owns message *matching*:
 /// posted receives, FIFO per-key delivery, probe semantics, and the
 /// progress-engine arrival delay.
 ///
@@ -105,7 +105,7 @@ impl Communicator {
     }
 
     /// Creates a communicator whose messages travel over `transport`
-    /// (one endpoint of a channel fabric, for rank shards).
+    /// (one endpoint of a channel fabric, for rank engines).
     ///
     /// # Panics
     ///
@@ -343,7 +343,7 @@ impl Communicator {
             Some(_) => true,
         };
         // A message that will never come must not spin forever: when a peer
-        // endpoint has died (shard panic, injected kill) the fabric reports
+        // endpoint has died (rank panic, injected kill) the fabric reports
         // unhealthy and this rank panics promptly — the conductor's failure
         // detector surfaces it as a failed (recoverable) run.
         if !ready && !self.transport.healthy() {
@@ -396,40 +396,6 @@ impl Communicator {
         self.probe_calls
     }
 
-    /// Executes an AllGather of `bytes_per_rank` payload from every rank
-    /// (used to aggregate refinement flags in `UpdateMeshBlockTree`).
-    ///
-    /// Accounting-only: no data moves (the shared path has every rank's
-    /// data in one address space). Rank shards use
-    /// [`Communicator::all_gather_data`] instead.
-    pub fn all_gather(&mut self, func: StepFunction, bytes_per_rank: u64, rec: &mut Recorder) {
-        let bytes = bytes_per_rank * self.nranks as u64;
-        rec.record_collective(func, CollectiveOp::AllGather, bytes);
-        self.push_event(
-            BoundaryKey::new(0, 0, 0),
-            func,
-            CommEventKind::Collective {
-                op: CollectiveOp::AllGather,
-                bytes,
-            },
-        );
-    }
-
-    /// Executes an AllReduce of `bytes` (the timestep minimum in
-    /// `EstimateTimeStep`). Accounting-only; rank shards use
-    /// [`Communicator::all_reduce_data`].
-    pub fn all_reduce(&mut self, func: StepFunction, bytes: u64, rec: &mut Recorder) {
-        rec.record_collective(func, CollectiveOp::AllReduce, bytes);
-        self.push_event(
-            BoundaryKey::new(0, 0, 0),
-            func,
-            CommEventKind::Collective {
-                op: CollectiveOp::AllReduce,
-                bytes,
-            },
-        );
-    }
-
     /// Blocking AllGather that really moves data: deposits `payload` and
     /// returns every rank's deposit indexed by rank. Recorded bytes are the
     /// total gathered size, identical on every rank (so merged logs
@@ -460,7 +426,7 @@ impl Communicator {
     /// rank's `payload` indexed by rank so the caller folds them in a fixed
     /// rank order (deterministic reduction regardless of arrival order).
     /// `bytes` is the reduced result size to record (e.g. 8 for a scalar
-    /// minimum), matching the accounting-only path.
+    /// minimum).
     pub fn all_reduce_data(
         &mut self,
         func: StepFunction,
@@ -599,11 +565,14 @@ mod tests {
     fn collectives_record_sizes() {
         let mut rec = recorder();
         let mut comm = Communicator::new(8);
-        comm.all_gather(StepFunction::UpdateMeshBlockTree, 64, &mut rec);
-        comm.all_reduce(StepFunction::EstimateTimeStep, 8, &mut rec);
+        // On the shared transport the engine is the only depositor, so the
+        // gather returns (and records) its own payload.
+        let parts = comm.all_gather_data(StepFunction::UpdateMeshBlockTree, vec![7; 64], &mut rec);
+        assert_eq!(parts, [vec![7u8; 64]]);
+        comm.all_reduce_data(StepFunction::EstimateTimeStep, vec![0; 8], 8, &mut rec);
         rec.end_cycle(1, 0, 0, 0);
         let tree = &rec.totals().comm[&StepFunction::UpdateMeshBlockTree];
-        assert_eq!(tree.collectives[&CollectiveOp::AllGather], (1, 512));
+        assert_eq!(tree.collectives[&CollectiveOp::AllGather], (1, 64));
         let est = &rec.totals().comm[&StepFunction::EstimateTimeStep];
         assert_eq!(est.collectives[&CollectiveOp::AllReduce], (1, 8));
     }
@@ -849,7 +818,7 @@ mod tests {
         comm.set_task(Some("Stage0::WaitUnpack"));
         assert!(comm.try_receive(key, &mut rec).is_some());
         comm.set_task(None);
-        comm.all_reduce(StepFunction::EstimateTimeStep, 8, &mut rec);
+        comm.all_reduce_data(StepFunction::EstimateTimeStep, vec![0; 8], 8, &mut rec);
         rec.end_cycle(1, 0, 0, 0);
         let tasks: Vec<Option<&'static str>> = comm.events().iter().map(|e| e.task).collect();
         assert_eq!(
@@ -983,8 +952,13 @@ mod tests {
         );
         assert!(c0.try_receive(k10, &mut rec).is_some());
         assert!(c1.try_receive(k01, &mut rec).is_some());
-        c0.all_reduce(StepFunction::EstimateTimeStep, 8, &mut rec);
-        c1.all_reduce(StepFunction::EstimateTimeStep, 8, &mut rec);
+        let mut rec1 = recorder();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                c1.all_reduce_data(StepFunction::EstimateTimeStep, vec![0; 8], 8, &mut rec1)
+            });
+            c0.all_reduce_data(StepFunction::EstimateTimeStep, vec![0; 8], 8, &mut rec);
+        });
         rec.end_cycle(1, 0, 0, 0);
         let mut merged = c0.take_events();
         merged.extend(c1.take_events());

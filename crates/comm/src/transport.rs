@@ -7,7 +7,7 @@
 //!   the moment it is posted and collectives involve nobody else. Sequence
 //!   numbers are a local counter starting at zero, preserving the dense
 //!   per-communicator numbering the event-log tests rely on.
-//! * [`ChannelTransport`] — one endpoint per rank shard, wired together by
+//! * [`ChannelTransport`] — one endpoint per rank engine, wired together by
 //!   [`channel_fabric`]. Cross-rank sends travel over `mpsc` channels,
 //!   sequence numbers come from one shared atomic counter (so the merged
 //!   multi-rank log is causally ordered: a completion's seq is always
@@ -148,7 +148,7 @@ struct HubState {
     /// How many ranks have taken the published result.
     taken: usize,
     /// Endpoints still attached to the fabric. A [`ChannelTransport`] that
-    /// drops (shard panicked, or a runner tore the session down mid-run)
+    /// drops (rank panicked, or a runner tore the session down mid-run)
     /// leaves the hub; ranks blocked waiting for its deposit panic instead
     /// of deadlocking.
     alive: usize,
@@ -236,7 +236,7 @@ impl CollectiveHub {
     ///
     /// Panics — instead of blocking forever — when a peer endpoint drops
     /// off the fabric while this generation's deposits are still
-    /// incomplete (a shard panicked mid-cycle, or its thread was torn
+    /// incomplete (a rank panicked mid-cycle, or its thread was torn
     /// down). Ranks that already deposited are themselves blocked in this
     /// gather, so an endpoint can only disappear *before* depositing; its
     /// generation can then never complete and every waiter unblocks by
@@ -351,7 +351,7 @@ impl CollectiveHub {
     }
 }
 
-/// Cross-thread channel transport: one endpoint per rank shard.
+/// Cross-thread channel transport: one endpoint per rank engine.
 ///
 /// Built by [`channel_fabric`]. Sends to peers go over their `mpsc` channel;
 /// sends to self are returned directly from `post` so the mailbox keeps its
@@ -399,7 +399,7 @@ impl Transport for ChannelTransport {
         if dst == self.rank {
             return Some(msg);
         }
-        // A peer hanging up (panicked shard) surfaces as a send error; the
+        // A peer hanging up (panicked rank) surfaces as a send error; the
         // message is simply dropped — the run is already doomed and the
         // conductor will propagate the panic.
         if let Some(tx) = &self.peers[dst] {
@@ -426,7 +426,7 @@ impl Transport for ChannelTransport {
 }
 
 /// Builds a fully connected `nranks`-endpoint channel fabric: endpoint `r`
-/// is for rank `r`'s shard. All endpoints share one sequence counter and
+/// is for rank `r`'s engine. All endpoints share one sequence counter and
 /// one collective hub.
 pub fn channel_fabric(nranks: usize) -> Vec<ChannelTransport> {
     channel_fabric_with_timeout(nranks, None)

@@ -1,6 +1,13 @@
 //! Ghost-cell communication: the StartReceiveBoundBufs → SendBoundBufs →
 //! ReceiveBoundBufs → SetBounds cycle, plus fine-coarse flux correction.
 //!
+//! Every phase works on the blocks one engine holds (an [`Ownership`]): it
+//! posts receives for the boundaries whose receiver it owns, packs and sends
+//! the boundaries whose sender it owns — tagged with the virtual ranks on
+//! both ends, so the communicator records a local copy or a remote message —
+//! and unpacks into its own slots. An engine that owns every rank is both
+//! ends of every exchange; a rank engine is one end and its peers the other.
+//!
 //! The exchange is split into phases so the driver's task graph can keep
 //! interior compute running while messages are in flight:
 //!
@@ -15,7 +22,8 @@
 //! [`exchange_ghosts`] and [`flux_correction`] run the phases back-to-back
 //! for callers that do not overlap (initialization, tests).
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
+use std::ops::Range;
 
 use vibe_comm::{BoundaryKey, BufferCache, CacheConfig, Communicator, SendMeta};
 use vibe_exec::{catalog, ExecCtx, Launcher};
@@ -49,16 +57,36 @@ impl Default for ExchangeConfig {
     }
 }
 
+/// The blocks one engine holds: a contiguous range of virtual ranks and —
+/// load balancing gives every rank a contiguous Morton run — the dense,
+/// gid-ordered slot run of their blocks. Block ranks are read live from the
+/// (replicated) mesh, so plain load balancing keeps an [`ExchangePlan`]
+/// valid.
+#[derive(Debug, Clone, Copy)]
+pub struct Ownership<'a> {
+    /// The mesh whose block ranks decide who sends and who receives.
+    pub mesh: &'a Mesh,
+    /// The virtual ranks the engine runs.
+    pub ranks: &'a Range<usize>,
+}
+
+impl Ownership<'_> {
+    /// Rank owning block `gid`.
+    pub fn rank_of(&self, gid: usize) -> usize {
+        self.mesh.block(gid).rank()
+    }
+
+    /// Whether block `gid` lives on one of the engine's ranks.
+    pub fn owns(&self, gid: usize) -> bool {
+        self.ranks.contains(&self.rank_of(gid))
+    }
+}
+
 /// Everything the communication phases need that only changes when the
 /// mesh does: boundary enumeration, pack/unpack buffer specs, fine→coarse
 /// flux-correction transfers, and the variable-id pack lookups — computed
 /// once per mesh generation instead of once per cycle (the repeated
 /// `pack_by_flag` lookups were a measurable serial hot path).
-///
-/// Ranks are deliberately *not* cached: senders and receivers read live
-/// `BlockSlot::info.rank` at send time, so plain load balancing keeps the
-/// plan valid; only regridding (new gids and neighbor lists) invalidates
-/// it.
 #[derive(Debug, Clone)]
 pub struct ExchangePlan {
     /// Ghost boundaries as (key, receiver gid, sender gid), in the fixed
@@ -82,25 +110,48 @@ pub struct ExchangePlan {
 }
 
 impl ExchangePlan {
-    /// Builds the plan for the current mesh generation, performing (and
-    /// recording) the per-block variable lookups that previously ran on
-    /// every exchange.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slots` is not indexed by gid consistently with `mesh`.
+    /// Builds the plan for the current mesh generation over an engine's
+    /// owned slots, performing (and recording) the per-block variable
+    /// lookups that previously ran on every exchange. The boundary
+    /// enumeration covers the whole mesh (every rank knows the replicated
+    /// block tree); an engine that owns no block gets empty variable ids and
+    /// never needs them.
     pub fn build(
         mesh: &Mesh,
         slots: &mut [BlockSlot],
         cfg: &ExchangeConfig,
         rec: &mut Recorder,
     ) -> Self {
-        assert_eq!(
-            slots.len(),
-            mesh.num_blocks(),
-            "slots out of sync with mesh"
-        );
-        let (keys, specs, by_recv, transfers, fcorr_by_recv) = Self::topology(mesh, cfg);
+        let shape = mesh.index_shape();
+        let nblocks = mesh.num_blocks();
+        let mut keys = Vec::new();
+        let mut specs = Vec::new();
+        let mut by_recv: Vec<Vec<usize>> = vec![Vec::new(); nblocks];
+        let mut transfers = Vec::new();
+        let mut fcorr_by_recv: Vec<Vec<usize>> = vec![Vec::new(); nblocks];
+        for r in 0..nblocks {
+            for (t, nb) in mesh.neighbors(r).iter().enumerate() {
+                let s = mesh.gid_at(&nb.loc).expect("neighbor is a leaf");
+                by_recv[r].push(keys.len());
+                keys.push((BoundaryKey::new(s, r, t as u32), r, s));
+                specs.push(compute_buffer_spec_with(
+                    &shape,
+                    &mesh.block(r).loc(),
+                    &nb.loc,
+                    &nb.offset,
+                    cfg.restrict_on_send,
+                ));
+                if nb.is_finer() && nb.offset.order() == 1 {
+                    fcorr_by_recv[r].push(transfers.len());
+                    transfers.push((
+                        BoundaryKey::new(s, r, 1000 + t as u32),
+                        r,
+                        s,
+                        flux_correction_spec(&shape, &mesh.block(r).loc(), &nb.loc, &nb.offset),
+                    ));
+                }
+            }
+        }
         // Variable selection per block (string-keyed or cached, per
         // container strategy), once per generation; drain the lookup
         // counters into the profile.
@@ -139,126 +190,46 @@ impl ExchangePlan {
             two_stage_ids,
         }
     }
+}
 
-    /// Builds the plan from the mesh and one sample block container, without
-    /// needing every block's slot — the rank-shard path, where a shard owns
-    /// only its own blocks but (like every MPI rank) knows the full
-    /// replicated block tree. Boundary enumeration is identical to
-    /// [`ExchangePlan::build`] because it only reads the mesh; variable ids
-    /// come from `sample`, which every block registers identically.
-    pub fn build_from_mesh(
-        mesh: &Mesh,
-        sample: &mut vibe_field::BlockData,
-        cfg: &ExchangeConfig,
-        rec: &mut Recorder,
-    ) -> Self {
-        let (keys, specs, by_recv, transfers, fcorr_by_recv) = Self::topology(mesh, cfg);
-        let ghost_ids = sample.pack_by_flag(Metadata::FILL_GHOST).ids().to_vec();
-        let flux_ids = sample.pack_by_flag(Metadata::WITH_FLUXES).ids().to_vec();
-        let two_stage_ids = sample.pack_by_flag(Metadata::TWO_STAGE).ids().to_vec();
-        let lookups = sample.take_string_lookups();
-        if lookups > 0 {
-            rec.record_serial(
-                StepFunction::SendBoundBufs,
-                SerialWork::StringLookups(lookups),
-            );
-        }
+/// Messages of one exchange round in flight: the indices (into the plan's
+/// boundary or transfer list) still awaited, and the payloads delivered so
+/// far, indexed the same way.
+#[derive(Debug, Default)]
+struct Inbound {
+    pending: Vec<usize>,
+    received: Vec<Option<Vec<f64>>>,
+}
+
+impl Inbound {
+    fn new(pending: Vec<usize>, len: usize) -> Self {
         Self {
-            keys,
-            specs,
-            by_recv,
-            transfers,
-            fcorr_by_recv,
-            ghost_ids,
-            flux_ids,
-            two_stage_ids,
+            pending,
+            received: vec![None; len],
         }
     }
 
-    /// Boundary enumeration, buffer specs, and flux-correction transfers —
-    /// a pure function of the mesh generation.
-    #[allow(clippy::type_complexity)]
-    fn topology(
-        mesh: &Mesh,
-        cfg: &ExchangeConfig,
-    ) -> (
-        Vec<(BoundaryKey, usize, usize)>,
-        Vec<BufferSpec>,
-        Vec<Vec<usize>>,
-        Vec<(BoundaryKey, usize, usize, FluxCorrSpec)>,
-        Vec<Vec<usize>>,
-    ) {
-        let shape = mesh.index_shape();
-        let nblocks = mesh.num_blocks();
-        let mut keys = Vec::new();
-        let mut specs = Vec::new();
-        let mut by_recv: Vec<Vec<usize>> = vec![Vec::new(); nblocks];
-        let mut transfers = Vec::new();
-        for (r, recv_list) in by_recv.iter_mut().enumerate() {
-            for (t, nb) in mesh.neighbors(r).iter().enumerate() {
-                let s = mesh.gid_at(&nb.loc).expect("neighbor is a leaf");
-                recv_list.push(keys.len());
-                keys.push((BoundaryKey::new(s, r, t as u32), r, s));
-                specs.push(compute_buffer_spec_with(
-                    &shape,
-                    &mesh.block(r).loc(),
-                    &nb.loc,
-                    &nb.offset,
-                    cfg.restrict_on_send,
-                ));
-                if nb.is_finer() && nb.offset.order() == 1 {
-                    transfers.push((
-                        BoundaryKey::new(s, r, 1000 + t as u32),
-                        r,
-                        s,
-                        flux_correction_spec(&shape, &mesh.block(r).loc(), &nb.loc, &nb.offset),
-                    ));
+    /// One non-blocking delivery sweep; `true` once everything arrived.
+    fn poll(
+        &mut self,
+        key: impl Fn(usize) -> BoundaryKey,
+        comm: &mut Communicator,
+        rec: &mut Recorder,
+    ) -> bool {
+        let received = &mut self.received;
+        self.pending
+            .retain(|&b| match comm.try_receive(key(b), rec) {
+                Some(buf) => {
+                    received[b] = Some(buf);
+                    false
                 }
-            }
-        }
-        let mut fcorr_by_recv: Vec<Vec<usize>> = vec![Vec::new(); nblocks];
-        for (b, (_key, r, ..)) in transfers.iter().enumerate() {
-            fcorr_by_recv[*r].push(b);
-        }
-        (keys, specs, by_recv, transfers, fcorr_by_recv)
+                None => true,
+            });
+        self.pending.is_empty()
     }
 
-    /// Ghost boundaries as (key, receiver gid, sender gid) in the fixed
-    /// receiver-major enumeration order.
-    pub fn boundaries(&self) -> &[(BoundaryKey, usize, usize)] {
-        &self.keys
-    }
-
-    /// Pack/unpack spec per ghost boundary (parallel to
-    /// [`ExchangePlan::boundaries`]).
-    pub fn specs(&self) -> &[BufferSpec] {
-        &self.specs
-    }
-
-    /// Boundary indices received by block `r`, in enumeration order.
-    pub fn recv_boundaries(&self, r: usize) -> &[usize] {
-        &self.by_recv[r]
-    }
-
-    /// Fine→coarse flux-correction transfers as (key, receiver, sender,
-    /// spec).
-    pub fn flux_transfers(&self) -> &[(BoundaryKey, usize, usize, FluxCorrSpec)] {
-        &self.transfers
-    }
-
-    /// Flux-correction transfer indices received by block `r`.
-    pub fn fcorr_recv_transfers(&self, r: usize) -> &[usize] {
-        &self.fcorr_by_recv[r]
-    }
-
-    /// Number of ghost boundaries in the plan.
-    pub fn num_boundaries(&self) -> usize {
-        self.keys.len()
-    }
-
-    /// Number of fine→coarse flux-correction transfers.
-    pub fn num_flux_transfers(&self) -> usize {
-        self.transfers.len()
+    fn payload(&self, b: usize) -> &[f64] {
+        self.received[b].as_deref().expect("message delivered")
     }
 }
 
@@ -266,20 +237,53 @@ impl ExchangePlan {
 /// wait/unpack phases.
 #[derive(Debug, Default)]
 pub struct GhostExchangeState {
-    /// Keys still waiting on delivery.
-    pending: Vec<BoundaryKey>,
-    /// Delivered payloads by key.
-    received: HashMap<BoundaryKey, Vec<f64>>,
+    inbound: Inbound,
     /// Remote payload bytes currently held in MPI buffers.
     remote_bytes_live: i64,
 }
 
-/// Posts all receives (`StartReceiveBoundBufs`), packs every boundary
-/// buffer in parallel (pure reads of the sender blocks), and streams the
-/// sends serially in key order (`SendBoundBufs`). Returns the in-flight
-/// state that [`ghost_poll`] and [`ghost_set_bounds`] retire.
+/// Sends every message of one round whose sender block is owned: packs the
+/// payloads in parallel (pure reads of the sender blocks), then ships them
+/// serially in plan order with virtual-rank routing. Returns the packed
+/// cells per sending rank and the bytes that left a rank.
+#[allow(clippy::too_many_arguments)]
+fn send_owned(
+    own: Ownership<'_>,
+    slots: &[BlockSlot],
+    send: &[(BoundaryKey, usize, usize)],
+    pack_one: impl Fn(usize, &BlockSlot, &mut Vec<f64>) -> u64 + Sync,
+    func: StepFunction,
+    comm: &mut Communicator,
+    exec: ExecCtx,
+    rec: &mut Recorder,
+) -> (BTreeMap<usize, u64>, i64) {
+    let first = slots.first().map_or(0, |s| s.info.gid);
+    let mut packed: Vec<(Vec<f64>, u64)> = vec![(Vec::new(), 0); send.len()];
+    exec.for_each_block(&mut packed, |i, out| {
+        let slot = &slots[send[i].2 - first];
+        out.1 = pack_one(i, slot, &mut out.0);
+    });
+    let mut cells_per_rank: BTreeMap<usize, u64> = BTreeMap::new();
+    let mut remote_bytes = 0i64;
+    for (&(key, r, s), (buf, cells)) in send.iter().zip(packed) {
+        let (src, dst) = (own.rank_of(s), own.rank_of(r));
+        if src != dst {
+            remote_bytes += (buf.len() * 8) as i64;
+        }
+        *cells_per_rank.entry(src).or_insert(0) += cells;
+        comm.send(key, buf, SendMeta { src, dst, cells }, func, rec);
+    }
+    (cells_per_rank, remote_bytes)
+}
+
+/// Posts the receives for boundaries whose receiver is owned
+/// (`StartReceiveBoundBufs`), then packs and streams every boundary whose
+/// sender is owned (`SendBoundBufs`). Returns the in-flight state that
+/// [`ghost_poll`] and [`ghost_set_bounds`] retire.
+#[allow(clippy::too_many_arguments)]
 pub fn ghost_pack_and_send(
     plan: &ExchangePlan,
+    own: Ownership<'_>,
     slots: &[BlockSlot],
     comm: &mut Communicator,
     cache: &mut BufferCache,
@@ -289,71 +293,62 @@ pub fn ghost_pack_and_send(
 ) -> GhostExchangeState {
     let wall = rec.wall().clone();
 
-    {
+    let recv: Vec<usize> = {
         let _g = wall.region_hot(RegionKey::Step(StepFunction::StartReceiveBoundBufs));
-        for (key, ..) in &plan.keys {
-            comm.start_receive(*key);
+        let recv: Vec<usize> = (0..plan.keys.len())
+            .filter(|&b| own.owns(plan.keys[b].1))
+            .collect();
+        for &b in &recv {
+            comm.start_receive(plan.keys[b].0);
         }
         rec.record_serial(
             StepFunction::StartReceiveBoundBufs,
-            SerialWork::BoundaryLoop(plan.keys.len() as u64),
+            SerialWork::BoundaryLoop(recv.len() as u64),
         );
-    }
+        recv
+    };
 
     let _send_guard = wall.region(RegionKey::Step(StepFunction::SendBoundBufs));
     cache.initialize(
-        plan.keys.iter().map(|(k, ..)| *k).collect(),
+        recv.iter().map(|&b| plan.keys[b].0).collect(),
         &cfg.cache_config,
         rec,
     );
+    let send: Vec<usize> = (0..plan.keys.len())
+        .filter(|&b| own.owns(plan.keys[b].2))
+        .collect();
     rec.record_serial(
         StepFunction::SendBoundBufs,
-        SerialWork::BoundaryLoop(plan.keys.len() as u64),
+        SerialWork::BoundaryLoop(send.len() as u64),
     );
-
-    let mut packed: Vec<(Vec<f64>, u64)> = vec![(Vec::new(), 0); plan.keys.len()];
-    {
-        let keys_ro = &plan.keys;
-        let specs_ro = &plan.specs;
-        let ids_ro = &plan.ghost_ids;
-        exec.for_each_block(&mut packed, |b, out| {
-            let (_key, _r, s) = keys_ro[b];
-            let spec = &specs_ro[b];
-            for &id in ids_ro {
-                let var = slots[s].data.var(id);
-                pack(spec, var.data(), &mut out.0);
-                out.1 += spec.buffer_len(var.ncomp()) as u64;
+    let send_keys: Vec<_> = send.iter().map(|&b| plan.keys[b]).collect();
+    let (cells_per_rank, remote_bytes_live) = send_owned(
+        own,
+        slots,
+        &send_keys,
+        |i, slot, out| {
+            let spec = &plan.specs[send[i]];
+            let mut cells = 0;
+            for &id in &plan.ghost_ids {
+                let var = slot.data.var(id);
+                pack(spec, var.data(), out);
+                cells += spec.buffer_len(var.ncomp()) as u64;
             }
-        });
-    }
-    let mut packed_cells_per_rank: HashMap<usize, u64> = HashMap::new();
-    let mut remote_bytes_live: i64 = 0;
-    for ((key, r, s), (buf, cells)) in plan.keys.iter().zip(packed) {
-        let src = slots[*s].info.rank;
-        let dst = slots[*r].info.rank;
-        if src != dst {
-            remote_bytes_live += (buf.len() * 8) as i64;
-        }
-        *packed_cells_per_rank.entry(src).or_insert(0) += cells;
-        comm.send(
-            *key,
-            buf,
-            SendMeta { src, dst, cells },
-            StepFunction::SendBoundBufs,
-            rec,
-        );
-    }
+            cells
+        },
+        StepFunction::SendBoundBufs,
+        comm,
+        exec,
+        rec,
+    );
     rec.record_alloc(MemSpace::MpiBuffers, remote_bytes_live);
-    {
-        let mut launcher = Launcher::new(rec);
-        for cells in packed_cells_per_rank.values() {
-            launcher.record_only(&catalog::SEND_BOUND_BUFS, *cells, 1.0);
-        }
+    let mut launcher = Launcher::new(rec);
+    for cells in cells_per_rank.values() {
+        launcher.record_only(&catalog::SEND_BOUND_BUFS, *cells, 1.0);
     }
 
     GhostExchangeState {
-        pending: plan.keys.iter().map(|(k, ..)| *k).collect(),
-        received: HashMap::new(),
+        inbound: Inbound::new(recv, plan.keys.len()),
         remote_bytes_live,
     }
 }
@@ -363,6 +358,7 @@ pub fn ghost_pack_and_send(
 /// landed; remote messages may need several sweeps before the progress
 /// engine delivers them.
 pub fn ghost_poll(
+    plan: &ExchangePlan,
     state: &mut GhostExchangeState,
     comm: &mut Communicator,
     rec: &mut Recorder,
@@ -371,20 +367,10 @@ pub fn ghost_poll(
         .wall()
         .clone()
         .region(RegionKey::Step(StepFunction::ReceiveBoundBufs));
-    let received = &mut state.received;
-    state
-        .pending
-        .retain(|key| match comm.try_receive(*key, rec) {
-            Some(buf) => {
-                received.insert(*key, buf);
-                false
-            }
-            None => true,
-        });
-    state.pending.is_empty()
+    state.inbound.poll(|b| plan.keys[b].0, comm, rec)
 }
 
-/// Unpacks every delivered buffer into its receiver's ghost zones
+/// Unpacks every delivered buffer into its owned receiver's ghost zones
 /// (`SetBounds`) and releases the exchange's MPI buffer memory. Blocks
 /// unpack in parallel over *receivers*; each consumes its incoming buffers
 /// in global key order, so results are identical to the serial sweep at
@@ -395,62 +381,53 @@ pub fn ghost_poll(
 /// Panics unless [`ghost_poll`] reported completion for `state`.
 pub fn ghost_set_bounds(
     plan: &ExchangePlan,
+    own: Ownership<'_>,
     state: GhostExchangeState,
     slots: &mut [BlockSlot],
     comm: &mut Communicator,
     exec: ExecCtx,
     rec: &mut Recorder,
 ) {
-    assert!(state.pending.is_empty(), "all messages arrive in-process");
-    assert_eq!(
-        state.received.len(),
-        plan.keys.len(),
-        "every boundary delivered"
-    );
+    assert!(state.inbound.pending.is_empty(), "every boundary delivered");
     let _set_guard = rec
         .wall()
         .clone()
         .region(RegionKey::Step(StepFunction::SetBounds));
-    let mut unpacked_cells_per_rank: HashMap<usize, u64> = HashMap::new();
-    for ((_key, r, _s), spec) in plan.keys.iter().zip(&plan.specs) {
-        let recv_rank = slots[*r].info.rank;
-        let buf_len: u64 = plan
-            .ghost_ids
-            .iter()
-            .map(|&id| spec.buffer_len(slots[*r].data.var(id).ncomp()) as u64)
-            .sum();
-        *unpacked_cells_per_rank.entry(recv_rank).or_insert(0) += buf_len;
-    }
-    {
-        let keys_ro = &plan.keys;
-        let specs_ro = &plan.specs;
-        let ids_ro = &plan.ghost_ids;
-        let by_recv_ro = &plan.by_recv;
-        let received_ro = &state.received;
-        exec.for_each_block(slots, |r, slot| {
-            for &b in &by_recv_ro[r] {
-                let (key, ..) = keys_ro[b];
-                let spec = &specs_ro[b];
-                let buf = &received_ro[&key];
-                let mut offset = 0usize;
-                for &id in ids_ro {
-                    let var = slot.data.var_mut(id);
-                    let len = spec.buffer_len(var.data().ncomp());
-                    unpack(spec, &buf[offset..offset + len], var.data_mut());
-                    offset += len;
-                }
-            }
-        });
-    }
-    {
-        let mut launcher = Launcher::new(rec);
-        for cells in unpacked_cells_per_rank.values() {
-            launcher.record_only(&catalog::SET_BOUNDS, *cells, 1.0);
+    let mut cells_per_rank: BTreeMap<usize, u64> = BTreeMap::new();
+    let mut boundaries = 0u64;
+    for slot in slots.iter() {
+        let r = slot.info.gid;
+        for &b in &plan.by_recv[r] {
+            boundaries += 1;
+            let cells: u64 = plan
+                .ghost_ids
+                .iter()
+                .map(|&id| plan.specs[b].buffer_len(slot.data.var(id).ncomp()) as u64)
+                .sum();
+            *cells_per_rank.entry(own.rank_of(r)).or_insert(0) += cells;
         }
+    }
+    let inbound = &state.inbound;
+    exec.for_each_block(slots, |_, slot| {
+        for &b in &plan.by_recv[slot.info.gid] {
+            let spec = &plan.specs[b];
+            let buf = inbound.payload(b);
+            let mut offset = 0usize;
+            for &id in &plan.ghost_ids {
+                let var = slot.data.var_mut(id);
+                let len = spec.buffer_len(var.data().ncomp());
+                unpack(spec, &buf[offset..offset + len], var.data_mut());
+                offset += len;
+            }
+        }
+    });
+    let mut launcher = Launcher::new(rec);
+    for cells in cells_per_rank.values() {
+        launcher.record_only(&catalog::SET_BOUNDS, *cells, 1.0);
     }
     rec.record_serial(
         StepFunction::SetBounds,
-        SerialWork::BoundaryLoop(plan.keys.len() as u64),
+        SerialWork::BoundaryLoop(boundaries),
     );
     comm.mark_all_stale();
     rec.record_alloc(MemSpace::MpiBuffers, -state.remote_bytes_live);
@@ -460,8 +437,10 @@ pub fn ghost_set_bounds(
 /// prebuilt plan. This is the non-overlapping path (initialization and
 /// direct callers); the cycle path schedules the same phases as separate
 /// tasks so interior compute proceeds while messages are in flight.
+#[allow(clippy::too_many_arguments)]
 pub fn exchange_ghosts_with_plan(
     plan: &ExchangePlan,
+    own: Ownership<'_>,
     slots: &mut [BlockSlot],
     comm: &mut Communicator,
     cache: &mut BufferCache,
@@ -469,26 +448,22 @@ pub fn exchange_ghosts_with_plan(
     exec: ExecCtx,
     rec: &mut Recorder,
 ) {
-    let mut state = ghost_pack_and_send(plan, slots, comm, cache, cfg, exec, rec);
+    let mut state = ghost_pack_and_send(plan, own, slots, comm, cache, cfg, exec, rec);
     let mut sweeps = 0u32;
-    while !ghost_poll(&mut state, comm, rec) {
+    while !ghost_poll(plan, &mut state, comm, rec) {
         sweeps += 1;
         assert!(sweeps < 10_000, "ghost messages never arrived");
     }
-    ghost_set_bounds(plan, state, slots, comm, exec, rec);
+    ghost_set_bounds(plan, own, state, slots, comm, exec, rec);
 }
 
 /// Performs one full ghost-zone exchange of all [`Metadata::FILL_GHOST`]
-/// variables across all block boundaries, building a one-shot
-/// [`ExchangePlan`].
+/// variables across all block boundaries of `mesh`, whose every block is in
+/// `slots` (gid order), building a one-shot [`ExchangePlan`].
 ///
 /// Fine→coarse data is restricted on the sender; coarse→fine data ships at
 /// coarse resolution and is prolongated during `SetBounds` — matching
 /// Parthenon's communication volumes.
-///
-/// # Panics
-///
-/// Panics if `slots` is not indexed by gid consistently with `mesh`.
 pub fn exchange_ghosts(
     mesh: &Mesh,
     slots: &mut [BlockSlot],
@@ -499,24 +474,28 @@ pub fn exchange_ghosts(
     rec: &mut Recorder,
 ) {
     let plan = ExchangePlan::build(mesh, slots, cfg, rec);
-    exchange_ghosts_with_plan(&plan, slots, comm, cache, cfg, exec, rec);
+    let ranks = 0..mesh.nranks();
+    let own = Ownership {
+        mesh,
+        ranks: &ranks,
+    };
+    exchange_ghosts_with_plan(&plan, own, slots, comm, cache, cfg, exec, rec);
 }
 
 /// In-flight state of one flux-correction round between its send and
 /// apply phases.
 #[derive(Debug, Default)]
 pub struct FluxCorrState {
-    /// Transfer indices still waiting on delivery.
-    pending: Vec<usize>,
-    /// Delivered payloads, indexed like the plan's transfer list.
-    bufs: Vec<Option<Vec<f64>>>,
+    inbound: Inbound,
 }
 
-/// Packs the restricted fine face fluxes of every fine→coarse transfer in
-/// parallel (pure reads), then sends them serially in face order
+/// Posts receives for the corrections owned coarse blocks consume, then
+/// packs the restricted fine face fluxes owned fine blocks send (in
+/// parallel, pure reads) and ships them serially in face order
 /// (`FluxCorrection`).
 pub fn flux_corr_send(
     plan: &ExchangePlan,
+    own: Ownership<'_>,
     slots: &[BlockSlot],
     comm: &mut Communicator,
     exec: ExecCtx,
@@ -526,39 +505,47 @@ pub fn flux_corr_send(
         .wall()
         .clone()
         .region(RegionKey::Step(StepFunction::FluxCorrection));
-    let mut packed: Vec<(Vec<f64>, u64)> = vec![(Vec::new(), 0); plan.transfers.len()];
-    {
-        let transfers_ro = &plan.transfers;
-        let ids_ro = &plan.flux_ids;
-        exec.for_each_block(&mut packed, |b, out| {
-            let (_key, _r, s, spec) = &transfers_ro[b];
-            for &id in ids_ro {
-                let var = slots[*s].data.var(id);
-                pack_flux(spec, var, &mut out.0);
-                out.1 += spec.buffer_len(var.ncomp()) as u64;
+    let recv: Vec<usize> = (0..plan.transfers.len())
+        .filter(|&b| own.owns(plan.transfers[b].1))
+        .collect();
+    for &b in &recv {
+        comm.start_receive(plan.transfers[b].0);
+    }
+    let send: Vec<usize> = (0..plan.transfers.len())
+        .filter(|&b| own.owns(plan.transfers[b].2))
+        .collect();
+    let send_keys: Vec<_> = send
+        .iter()
+        .map(|&b| {
+            let (key, r, s, _) = plan.transfers[b];
+            (key, r, s)
+        })
+        .collect();
+    send_owned(
+        own,
+        slots,
+        &send_keys,
+        |i, slot, out| {
+            let spec = &plan.transfers[send[i]].3;
+            let mut cells = 0;
+            for &id in &plan.flux_ids {
+                let var = slot.data.var(id);
+                pack_flux(spec, var, out);
+                cells += spec.buffer_len(var.ncomp()) as u64;
             }
-        });
-    }
-    for ((key, r, s, _spec), (buf, cells)) in plan.transfers.iter().zip(packed) {
-        comm.send(
-            *key,
-            buf,
-            SendMeta {
-                src: slots[*s].info.rank,
-                dst: slots[*r].info.rank,
-                cells,
-            },
-            StepFunction::FluxCorrection,
-            rec,
-        );
-    }
+            cells
+        },
+        StepFunction::FluxCorrection,
+        comm,
+        exec,
+        rec,
+    );
     rec.record_serial(
         StepFunction::FluxCorrection,
-        SerialWork::BoundaryLoop(plan.transfers.len() as u64),
+        SerialWork::BoundaryLoop(send.len() as u64),
     );
     FluxCorrState {
-        pending: (0..plan.transfers.len()).collect(),
-        bufs: vec![None; plan.transfers.len()],
+        inbound: Inbound::new(recv, plan.transfers.len()),
     }
 }
 
@@ -574,22 +561,12 @@ pub fn flux_corr_poll(
         .wall()
         .clone()
         .region(RegionKey::Step(StepFunction::FluxCorrection));
-    let bufs = &mut state.bufs;
-    state
-        .pending
-        .retain(|&b| match comm.try_receive(plan.transfers[b].0, rec) {
-            Some(buf) => {
-                bufs[b] = Some(buf);
-                false
-            }
-            None => true,
-        });
-    state.pending.is_empty()
+    state.inbound.poll(|b| plan.transfers[b].0, comm, rec)
 }
 
-/// Overwrites coarse fluxes with the delivered restricted fine fluxes, in
-/// parallel over receiver blocks, each applying its corrections in face
-/// order.
+/// Overwrites owned coarse fluxes with the delivered restricted fine
+/// fluxes, in parallel over receiver blocks, each applying its corrections
+/// in face order.
 ///
 /// # Panics
 ///
@@ -602,23 +579,20 @@ pub fn flux_corr_apply(
     rec: &mut Recorder,
 ) {
     assert!(
-        state.pending.is_empty(),
-        "all flux corrections arrive in-process"
+        state.inbound.pending.is_empty(),
+        "every flux correction delivered"
     );
     let _g = rec
         .wall()
         .clone()
         .region(RegionKey::Step(StepFunction::FluxCorrection));
-    let transfers_ro = &plan.transfers;
-    let ids_ro = &plan.flux_ids;
-    let by_recv_ro = &plan.fcorr_by_recv;
-    let bufs_ro = &state.bufs;
-    exec.for_each_block(slots, |r, slot| {
-        for &b in &by_recv_ro[r] {
-            let (_key, _r, _s, spec) = &transfers_ro[b];
-            let buf = bufs_ro[b].as_ref().expect("correction delivered");
+    let inbound = &state.inbound;
+    exec.for_each_block(slots, |_, slot| {
+        for &b in &plan.fcorr_by_recv[slot.info.gid] {
+            let spec = &plan.transfers[b].3;
+            let buf = inbound.payload(b);
             let mut offset = 0usize;
-            for &id in ids_ro {
+            for &id in &plan.flux_ids {
                 let var = slot.data.var_mut(id);
                 let len = spec.buffer_len(var.ncomp());
                 apply_flux(spec, &buf[offset..offset + len], var);
@@ -628,10 +602,11 @@ pub fn flux_corr_apply(
     });
 }
 
-/// Fine→coarse flux correction across all level-boundary faces: restricted
-/// fine face fluxes replace the coarse neighbor's fluxes before the flux
-/// divergence (prevents conservation errors). Builds a one-shot
-/// [`ExchangePlan`] and runs the send/poll/apply phases back-to-back.
+/// Fine→coarse flux correction across all level-boundary faces of `mesh`,
+/// whose every block is in `slots` (gid order): restricted fine face
+/// fluxes replace the coarse neighbor's fluxes before the flux divergence
+/// (prevents conservation errors). Builds a one-shot [`ExchangePlan`] and
+/// runs the send/poll/apply phases back-to-back.
 pub fn flux_correction(
     mesh: &Mesh,
     slots: &mut [BlockSlot],
@@ -640,7 +615,12 @@ pub fn flux_correction(
     rec: &mut Recorder,
 ) {
     let plan = ExchangePlan::build(mesh, slots, &ExchangeConfig::default(), rec);
-    let mut state = flux_corr_send(&plan, slots, comm, exec, rec);
+    let ranks = 0..mesh.nranks();
+    let own = Ownership {
+        mesh,
+        ranks: &ranks,
+    };
+    let mut state = flux_corr_send(&plan, own, slots, comm, exec, rec);
     let mut sweeps = 0u32;
     while !flux_corr_poll(&plan, &mut state, comm, rec) {
         sweeps += 1;
@@ -946,9 +926,15 @@ mod tests {
             rec.begin_cycle(0);
             let cfg = ExchangeConfig::default();
             let plan = ExchangePlan::build(&mesh, &mut slots, &cfg, &mut rec);
+            let ranks = 0..1;
+            let own = Ownership {
+                mesh: &mesh,
+                ranks: &ranks,
+            };
             if phased {
                 let mut state = ghost_pack_and_send(
                     &plan,
+                    own,
                     &slots,
                     &mut comm,
                     &mut cache,
@@ -956,9 +942,10 @@ mod tests {
                     ExecCtx::serial(),
                     &mut rec,
                 );
-                while !ghost_poll(&mut state, &mut comm, &mut rec) {}
+                while !ghost_poll(&plan, &mut state, &mut comm, &mut rec) {}
                 ghost_set_bounds(
                     &plan,
+                    own,
                     state,
                     &mut slots,
                     &mut comm,
@@ -968,6 +955,7 @@ mod tests {
             } else {
                 exchange_ghosts_with_plan(
                     &plan,
+                    own,
                     &mut slots,
                     &mut comm,
                     &mut cache,

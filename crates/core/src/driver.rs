@@ -1,12 +1,65 @@
-//! The evolution driver: Parthenon's timestep loop, executed as a
-//! dependency-driven task graph per cycle (see [`cycle_task_graph`]).
+//! The cycle engine: Parthenon's timestep loop, executed as a
+//! dependency-driven task graph per cycle (see [`cycle_task_graph`]), over
+//! the blocks of a contiguous range of virtual ranks.
+//!
+//! # One engine, any decomposition
+//!
+//! A [`Driver`] owns a contiguous range of virtual ranks and therefore —
+//! load balancing assigns every rank a contiguous Morton run — a contiguous
+//! gid run of dense block slots. The mesh itself (the block *tree*) is
+//! replicated, as in Parthenon. Every task iterates the packs of its owned
+//! ranks, posts receives for the boundaries whose receiver it owns, sends
+//! the boundaries whose sender it owns with the virtual ranks of both ends
+//! as `src`/`dst`, and joins the collectives of the AMR tail.
+//!
+//! * [`Driver::new`] owns every rank, `0..nranks`, and talks to itself over
+//!   the in-process [`SharedTransport`](vibe_comm::SharedTransport): rank
+//!   structure only decides whether a transfer is recorded as a local copy
+//!   or a remote message.
+//! * [`Driver::into_rank`] keeps one rank's slots and swaps in a wire
+//!   [`Transport`]; `vibe-rt` runs one such engine per OS thread.
+//!
+//! A rank engine is born from a **full-replica initialization**: every rank
+//! builds the same `Driver`, applies the same initial condition, and lets
+//! the deterministic init sequence adapt the mesh — a bitwise-identical
+//! mesh, block list, and timestep on every rank without any startup
+//! communication (how a distributed AMR code replays a deterministic
+//! problem generator instead of scattering from rank 0). Block data crosses
+//! the transport only when a regrid moves a block out of the owned range.
+//!
+//! # Determinism
+//!
+//! The global solution fingerprint is bitwise identical for any
+//! decomposition `(nranks, host_threads)` and for any split of the ranks
+//! into engines, because:
+//!
+//! 1. **The executor's ready sweep is deterministic.** Tasks complete in
+//!    insertion order once their dependencies resolve, so every engine
+//!    issues its collectives in the same program order; the
+//!    [`CollectiveHub`](vibe_comm::CollectiveHub) panics if ranks ever
+//!    rendezvous under different labels.
+//! 2. **Reductions are partition-independent.** The timestep AllReduce is a
+//!    gather-then-fold (`f64::min`, exact in any order), and history rows
+//!    are gathered with their gids and folded in global gid order.
+//! 3. **The flag merge is order-free.** Refinement flags reconcile into a
+//!    `BTreeMap` keyed by logical location, so the regrid decision never
+//!    depends on gather order; the tree surgery and the derefinement gate
+//!    replay identically on every engine.
+//! 4. **Per-block work does not see the partition.** Ghost buffers, flux
+//!    corrections, and migrated blocks carry exact copies of field data, and
+//!    every block-local kernel produces the same bits whichever pack it
+//!    runs in.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::ops::Range;
 
-use vibe_comm::{BufferCache, CacheConfig, Communicator};
+use vibe_comm::{BoundaryKey, BufferCache, CacheConfig, Communicator, SendMeta, Transport};
 use vibe_exec::{catalog, ExecCtx, Launcher};
-use vibe_field::{apply_face_bc, BcKind, BlockData, PackStrategy, Side};
-use vibe_mesh::{enforce_proper_nesting, AmrFlag, CostModel, DerefGate, Mesh, RegridSource};
+use vibe_field::{apply_face_bc, BcKind, BlockData, PackStrategy, Side, VarId};
+use vibe_mesh::refinement::RegridDecision;
+use vibe_mesh::{
+    enforce_proper_nesting, AmrFlag, CostModel, DerefGate, LogicalLocation, Mesh, RegridSource,
+};
 use vibe_prof::{MemSpace, ProfLevel, Recorder, RegionKey, SerialWork, StepFunction};
 
 use crate::amr::{prolongate_to_child, restrict_to_parent};
@@ -14,10 +67,11 @@ use crate::block::{BlockInfo, BlockSlot};
 use crate::boundary::{
     exchange_ghosts_with_plan, flux_corr_apply, flux_corr_poll, flux_corr_send,
     ghost_pack_and_send, ghost_poll, ghost_set_bounds, ExchangeConfig, ExchangePlan, FluxCorrState,
-    GhostExchangeState,
+    GhostExchangeState, Ownership,
 };
 use crate::package::{FluxPhase, Package};
-use crate::tasks::{TaskKind, TaskList, TaskNode, TaskStatus};
+use crate::snapshot::Snapshot;
+use crate::tasks::{TaskId, TaskKind, TaskList, TaskNode, TaskStatus};
 use crate::update::{flux_divergence_update_costed, flux_divergence_update_with_ids};
 
 /// Driver configuration.
@@ -143,7 +197,7 @@ pub struct CycleSummary {
 /// Task names of one RK stage, indexed `[stage][slot]` in graph order:
 /// PackSend, InteriorFlux, WaitUnpack, ExteriorFlux, FluxCorrSend,
 /// FluxCorrApply, Update, FillDerived.
-pub(crate) const STAGE_TASK_NAMES: [[&str; 8]; 2] = [
+const STAGE_TASK_NAMES: [[&str; 8]; 2] = [
     [
         "Stage0::PackSend",
         "Stage0::InteriorFlux",
@@ -166,13 +220,40 @@ pub(crate) const STAGE_TASK_NAMES: [[&str; 8]; 2] = [
     ],
 ];
 
-/// The dependency graph of one driver cycle — the exact task structure
-/// [`Driver::step`] executes (asserted against the live list in debug
-/// builds), exported action-free so consumers like the timeline simulator
-/// replay the same schedule the driver ran.
-///
-/// Per RK stage, the ghost exchange is split so ghost-independent interior
-/// flux work overlaps in-flight boundary traffic:
+/// What one node of the cycle graph does; the engine's `run_task` dispatches
+/// on it.
+#[derive(Debug, Clone, Copy)]
+enum CycleTask {
+    SaveStage0,
+    PackSend,
+    Flux(FluxPhase),
+    WaitUnpack,
+    FluxCorrSend,
+    FluxCorrApply,
+    Update(usize),
+    FillDerived,
+    MassHistory,
+    RefinementTag,
+    TreeUpdate,
+    Regrid,
+    EstimateTimeStep,
+}
+
+/// A context the cycle task list runs against: the engine, or `()` for the
+/// action-free export of [`cycle_task_graph`].
+trait CycleContext {
+    fn run_task(&mut self, name: &'static str, task: CycleTask) -> TaskStatus;
+}
+
+impl CycleContext for () {
+    fn run_task(&mut self, _: &'static str, _: CycleTask) -> TaskStatus {
+        unreachable!("the exported cycle graph is never executed")
+    }
+}
+
+/// Builds the task list of one cycle — the only place its structure is
+/// defined. Per RK stage, the ghost exchange is split so ghost-independent
+/// interior flux work overlaps in-flight boundary traffic:
 ///
 /// ```text
 /// PackSend ──┬─> InteriorFlux ──┬─> ExteriorFlux ─> FluxCorrSend
@@ -181,115 +262,176 @@ pub(crate) const STAGE_TASK_NAMES: [[&str; 8]; 2] = [
 ///
 /// and the AMR tail (`MassHistory` ∥ `RefinementTag` → `TreeUpdate` →
 /// `Regrid` → `EstimateTimeStep`) follows the second stage.
-pub fn cycle_task_graph() -> Vec<TaskNode> {
+fn cycle_list<C: CycleContext>() -> TaskList<C> {
     use StepFunction::*;
-    let node = |name: &str, kind: TaskKind, funcs: Vec<StepFunction>, deps: Vec<usize>| TaskNode {
-        name: name.to_string(),
-        kind,
-        funcs,
-        deps,
-    };
-    let mut g = Vec::with_capacity(22);
-    g.push(node("SaveStage0", TaskKind::Compute, vec![], vec![]));
-    for (stage, names) in STAGE_TASK_NAMES.iter().enumerate() {
-        let base = 1 + 8 * stage;
-        let prev = if stage == 0 { 0 } else { base - 1 };
-        g.push(node(
-            names[0],
-            TaskKind::CommSend,
-            vec![StartReceiveBoundBufs, SendBoundBufs, InitializeBufferCache],
-            vec![prev],
-        ));
-        g.push(node(
-            names[1],
-            TaskKind::Compute,
-            vec![CalculateFluxes],
-            vec![base],
-        ));
-        g.push(node(
-            names[2],
-            TaskKind::CommWait,
-            vec![ReceiveBoundBufs, SetBounds],
-            vec![base],
-        ));
-        g.push(node(
-            names[3],
-            TaskKind::Compute,
-            vec![CalculateFluxes],
-            vec![base + 1, base + 2],
-        ));
-        g.push(node(
-            names[4],
-            TaskKind::CommSend,
-            vec![FluxCorrection],
-            vec![base + 3],
-        ));
-        g.push(node(
-            names[5],
-            TaskKind::CommWait,
-            vec![FluxCorrection],
-            vec![base + 4],
-        ));
-        g.push(node(
-            names[6],
-            TaskKind::Compute,
-            vec![WeightedSumData, FluxDivergence],
-            vec![base + 5],
-        ));
-        g.push(node(
-            names[7],
-            TaskKind::Compute,
-            vec![FillDerived],
-            vec![base + 6],
-        ));
+    use TaskKind::{CommSend, CommWait, Compute, Serial};
+    fn add<C: CycleContext>(
+        list: &mut TaskList<C>,
+        name: &'static str,
+        kind: TaskKind,
+        funcs: &[StepFunction],
+        deps: &[TaskId],
+        task: CycleTask,
+    ) -> TaskId {
+        list.add_task_meta(
+            name,
+            kind,
+            funcs.iter().copied(),
+            deps.iter().copied(),
+            move |c: &mut C| c.run_task(name, task),
+        )
     }
-    g.push(node(
+    let mut list = TaskList::new();
+    let l = &mut list;
+    let mut prev = add(l, "SaveStage0", Compute, &[], &[], CycleTask::SaveStage0);
+    for (stage, names) in STAGE_TASK_NAMES.iter().enumerate() {
+        let pack_send = add(
+            l,
+            names[0],
+            CommSend,
+            &[StartReceiveBoundBufs, SendBoundBufs, InitializeBufferCache],
+            &[prev],
+            CycleTask::PackSend,
+        );
+        let interior = add(
+            l,
+            names[1],
+            Compute,
+            &[CalculateFluxes],
+            &[pack_send],
+            CycleTask::Flux(FluxPhase::Interior),
+        );
+        let wait = add(
+            l,
+            names[2],
+            CommWait,
+            &[ReceiveBoundBufs, SetBounds],
+            &[pack_send],
+            CycleTask::WaitUnpack,
+        );
+        let exterior = add(
+            l,
+            names[3],
+            Compute,
+            &[CalculateFluxes],
+            &[interior, wait],
+            CycleTask::Flux(FluxPhase::Exterior),
+        );
+        let fc_send = add(
+            l,
+            names[4],
+            CommSend,
+            &[FluxCorrection],
+            &[exterior],
+            CycleTask::FluxCorrSend,
+        );
+        let fc_apply = add(
+            l,
+            names[5],
+            CommWait,
+            &[FluxCorrection],
+            &[fc_send],
+            CycleTask::FluxCorrApply,
+        );
+        let update = add(
+            l,
+            names[6],
+            Compute,
+            &[WeightedSumData, FluxDivergence],
+            &[fc_apply],
+            CycleTask::Update(stage),
+        );
+        prev = add(
+            l,
+            names[7],
+            Compute,
+            &[FillDerived],
+            &[update],
+            CycleTask::FillDerived,
+        );
+    }
+    let history = add(
+        l,
         "MassHistory",
-        TaskKind::Compute,
-        vec![MassHistory],
-        vec![16],
-    ));
-    g.push(node(
+        Compute,
+        &[MassHistory],
+        &[prev],
+        CycleTask::MassHistory,
+    );
+    let tag = add(
+        l,
         "RefinementTag",
-        TaskKind::Compute,
-        vec![RefinementTag],
-        vec![16],
-    ));
-    g.push(node(
+        Compute,
+        &[RefinementTag],
+        &[prev],
+        CycleTask::RefinementTag,
+    );
+    let tree = add(
+        l,
         "TreeUpdate",
-        TaskKind::Serial,
-        vec![UpdateMeshBlockTree],
-        vec![18],
-    ));
-    g.push(node(
+        Serial,
+        &[UpdateMeshBlockTree],
+        &[tag],
+        CycleTask::TreeUpdate,
+    );
+    let regrid = add(
+        l,
         "Regrid",
-        TaskKind::Serial,
-        vec![RedistributeAndRefineMeshBlocks, RebuildBufferCache],
-        vec![19, 17],
-    ));
-    g.push(node(
+        Serial,
+        &[RedistributeAndRefineMeshBlocks, RebuildBufferCache],
+        &[tree, history],
+        CycleTask::Regrid,
+    );
+    add(
+        l,
         "EstimateTimeStep",
-        TaskKind::Compute,
-        vec![EstimateTimeStep],
-        vec![20],
-    ));
-    g
+        Compute,
+        &[EstimateTimeStep],
+        &[regrid],
+        CycleTask::EstimateTimeStep,
+    );
+    list
 }
 
-/// The pieces of a decomposed [`Driver`], handed to a rank shard. Carries
-/// the full continuation state (clock, derefinement gate, history) so that
-/// shards built from a checkpoint-restored replica resume mid-run with
-/// bitwise-identical behavior.
-pub(crate) struct DriverParts<P: Package> {
-    pub mesh: Mesh,
+/// The dependency graph of one engine cycle — exactly the task list
+/// [`Driver::step`] executes, exported action-free so consumers like the
+/// timeline simulator replay the same schedule the engine ran.
+pub fn cycle_task_graph() -> Vec<TaskNode> {
+    cycle_list::<()>().graph()
+}
+
+/// Message-tag namespace for block-migration payloads (ghost boundaries
+/// use the neighbor index, flux corrections 1000+; migration keys are
+/// `BoundaryKey::new(old_gid, old_gid, MIGRATE_TAG)`).
+const MIGRATE_TAG: u32 = 5000;
+
+/// Everything a finished rank engine hands back to the `vibe-rt`
+/// conductor.
+#[derive(Debug)]
+pub struct RankOutput {
+    /// The engine's first owned rank (a rank engine owns exactly one).
+    pub rank: usize,
+    /// Owned block slots, ascending gid.
     pub slots: Vec<BlockSlot>,
-    pub package: P,
-    pub params: DriverParams,
-    pub time: f64,
-    pub dt: f64,
-    pub cycle: u64,
-    pub gate: DerefGate,
+    /// The engine's workload recorder.
+    pub recorder: Recorder,
+    /// The engine's archived communication events (rank-stamped, globally
+    /// sequenced on the transport counter).
+    pub events: Vec<vibe_comm::CommEvent>,
+    /// History reductions as (cycle, values) — identical on every rank.
     pub history: Vec<(u64, Vec<f64>)>,
+    /// Final simulation time.
+    pub time: f64,
+    /// Final timestep.
+    pub dt: f64,
+    /// Completed cycles.
+    pub cycles: u64,
+    /// Causal task spans (rank/cycle-stamped), empty unless
+    /// [`DriverParams::capture_spans`] was on.
+    pub spans: Vec<vibe_prof::TaskSpan>,
+    /// Directly measured wait probes (collective blocking, migration
+    /// stalls) accumulated over the run.
+    pub probes: vibe_prof::WaitProbes,
 }
 
 /// Where [`Driver::initialize_impl`] gets its initial condition: the
@@ -299,13 +441,20 @@ enum IcSource<'a> {
     Custom(&'a dyn Fn(&BlockInfo, &mut BlockData)),
 }
 
-/// The evolution driver: owns the mesh, block data, communication state,
-/// and profiler, and advances the simulation with the paper's timestep
-/// loop (`Step` → `LoadBalancingAndAMR` → `EstimateTimeStep`), each cycle
-/// executed as the dependency-driven task graph of [`cycle_task_graph`].
+/// The cycle engine: owns the replicated mesh, the block data of its
+/// virtual ranks, communication state, and profiler, and advances the
+/// simulation with the paper's timestep loop (`Step` →
+/// `LoadBalancingAndAMR` → `EstimateTimeStep`), each cycle executed as the
+/// dependency-driven task graph of [`cycle_task_graph`]. See the module
+/// docs for ownership and the determinism argument.
 #[derive(Debug)]
 pub struct Driver<P: Package> {
     mesh: Mesh,
+    /// Virtual ranks this engine runs: `0..nranks` unless built by
+    /// [`Driver::into_rank`].
+    ranks: Range<usize>,
+    /// Slots of the owned ranks' blocks in ascending gid — a contiguous gid
+    /// run.
     slots: Vec<BlockSlot>,
     package: P,
     params: DriverParams,
@@ -317,8 +466,9 @@ pub struct Driver<P: Package> {
     dt: f64,
     cycle: u64,
     history: Vec<(u64, Vec<f64>)>,
-    /// Per-mesh-generation communication plan; `None` after a regrid until
-    /// the next [`Self::ensure_plan`].
+    /// Per-mesh-generation communication plan; `None` after a regrid that
+    /// changed the mesh or the owned run, until the next
+    /// [`Self::ensure_plan`].
     plan: Option<ExchangePlan>,
     /// Ghost-exchange traffic in flight between the PackSend and
     /// WaitUnpack tasks of the current stage.
@@ -328,9 +478,9 @@ pub struct Driver<P: Package> {
     /// Timestep frozen at the start of the current cycle's task list.
     step_dt: f64,
     /// Refinement flags handed from the RefinementTag task to TreeUpdate.
-    step_flags: BTreeMap<vibe_mesh::LogicalLocation, AmrFlag>,
+    step_flags: BTreeMap<LogicalLocation, AmrFlag>,
     /// Regrid decision handed from TreeUpdate to Regrid.
-    step_decision: Option<vibe_mesh::refinement::RegridDecision>,
+    step_decision: Option<RegridDecision>,
     /// (refined, derefined) counts recorded by the Regrid task.
     step_counts: (usize, usize),
     /// Archived communication events, drained from the communicator at the
@@ -344,18 +494,21 @@ pub struct Driver<P: Package> {
     wait_probes: vibe_prof::WaitProbes,
     /// This cycle's measured per-gid cost ledger (ns), reset every cycle
     /// and consumed by the Regrid task when
-    /// [`DriverParams::measured_costs`] is on.
+    /// [`DriverParams::measured_costs`] is on; only owned gids are
+    /// non-zero.
     block_cost_ns: Vec<u64>,
 }
 
 impl<P: Package> Driver<P> {
-    /// Creates a driver over `mesh` with `package` physics.
+    /// Creates an engine that owns every virtual rank of `mesh` and runs
+    /// them in this address space, with `package` physics.
     pub fn new(mesh: Mesh, package: P, params: DriverParams) -> Self {
         let mut mesh = mesh;
         mesh.load_balance(params.nranks);
         let mut comm = Communicator::new(params.nranks);
         comm.set_remote_delivery_delay(params.remote_delivery_polls);
         let mut driver = Self {
+            ranks: 0..params.nranks,
             comm,
             cache: BufferCache::new(),
             rec: Recorder::with_prof_level(params.prof_level),
@@ -388,14 +541,58 @@ impl<P: Package> Driver<P> {
         driver
     }
 
+    /// Turns a fully initialized replica into the engine of one virtual
+    /// rank: keeps only the slots of `transport.rank()` and runs all
+    /// communication over `transport` — the full-replica initialization
+    /// described in the module docs. Initialization is not attributed to
+    /// any cycle, so the recorder and event log start fresh; the clock,
+    /// derefinement gate, and history carry over, so a replica restored
+    /// from a checkpoint resumes with bitwise-identical regrid decisions.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the replica was built with a different `nranks` than the
+    /// transport, or if it was never initialized.
+    pub fn into_rank(mut self, transport: Box<dyn Transport>) -> Self {
+        let rank = transport.rank();
+        assert_eq!(
+            self.params.nranks,
+            transport.nranks(),
+            "replica rank count must match the transport"
+        );
+        assert!(self.dt > 0.0, "replica must be initialized first");
+        let nblocks = self.slots.len();
+        self.slots.retain(|s| s.info.rank == rank);
+        if self.slots.len() != nblocks {
+            // The owned run changed: rebuild the plan over the kept slots.
+            self.plan = None;
+        }
+        self.ranks = rank..rank + 1;
+        self.comm = Communicator::with_transport(self.params.nranks, transport);
+        self.comm
+            .set_remote_delivery_delay(self.params.remote_delivery_polls);
+        self.rec = Recorder::with_prof_level(self.params.prof_level);
+        let bytes: usize = self.slots.iter().map(BlockSlot::nbytes).sum();
+        self.rec.record_alloc(MemSpace::Kokkos, bytes as i64);
+        self.comm_log.clear();
+        self.span_log.clear();
+        self.wait_probes = vibe_prof::WaitProbes::default();
+        self
+    }
+
     fn new_slot(&self, gid: usize) -> BlockSlot {
+        BlockSlot::new(BlockInfo::from_mesh(&self.mesh, gid), self.fresh_data())
+    }
+
+    /// A registered, zeroed block container for this problem.
+    fn fresh_data(&self) -> BlockData {
         let mut data = BlockData::new(self.mesh.index_shape());
         data.set_pack_strategy(self.params.pack_strategy);
         self.package.register(&mut data);
-        BlockSlot::new(BlockInfo::from_mesh(&self.mesh, gid), data)
+        data
     }
 
-    /// The mesh.
+    /// The (replicated) mesh.
     pub fn mesh(&self) -> &Mesh {
         &self.mesh
     }
@@ -405,12 +602,13 @@ impl<P: Package> Driver<P> {
         &self.package
     }
 
-    /// All block slots in gid order.
+    /// The owned block slots in gid order — every block, unless this is a
+    /// rank engine built by [`Driver::into_rank`].
     pub fn slots(&self) -> &[BlockSlot] {
         &self.slots
     }
 
-    /// Mutable block slots (initial conditions).
+    /// Mutable owned block slots (initial conditions).
     pub fn slots_mut(&mut self) -> &mut [BlockSlot] {
         &mut self.slots
     }
@@ -450,8 +648,8 @@ impl<P: Package> Driver<P> {
         self.rec
     }
 
-    /// Archived causal task spans (rank 0, cycle-stamped); empty unless
-    /// [`DriverParams::capture_spans`] is on.
+    /// Archived causal task spans (stamped with the first owned rank and
+    /// the cycle); empty unless [`DriverParams::capture_spans`] is on.
     pub fn task_spans(&self) -> &[vibe_prof::TaskSpan] {
         &self.span_log
     }
@@ -487,14 +685,90 @@ impl<P: Package> Driver<P> {
         &self.history
     }
 
-    /// Total live field bytes across all blocks.
+    /// Total live field bytes across the owned blocks.
     pub fn total_field_bytes(&self) -> usize {
         self.slots.iter().map(BlockSlot::nbytes).sum()
+    }
+
+    /// Blocks until every rank on the transport reaches this barrier (used
+    /// by the `vibe-rt` conductor to bracket timed regions; immediate when
+    /// this engine owns every rank).
+    pub fn barrier(&mut self, label: &'static str) {
+        self.comm.barrier(label);
+    }
+
+    /// Collectively assembles a full-run checkpoint at a cycle boundary:
+    /// every engine contributes its owned blocks over an AllGather and
+    /// returns the identical complete [`Snapshot`] — the replicated mesh
+    /// tree and clock, the derefinement-gate and history continuation
+    /// state, and the gathered per-block cell data. No ghost traffic is in
+    /// flight between cycles, so the boundary state is exactly the
+    /// restartable state. [`Driver::to_snapshot`] is the local case.
+    ///
+    /// Collective: every rank engine on the transport must call this at
+    /// the same point of its cycle loop.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a peer's payload is malformed or leaves a block uncovered
+    /// (both indicate rank divergence, which the deterministic runtime
+    /// rules out).
+    pub fn checkpoint(&mut self) -> Snapshot {
+        let payload = crate::snapshot::encode_rank_blocks(&self.slots);
+        let parts = self
+            .comm
+            .all_gather_data(StepFunction::Other, payload, &mut self.rec);
+        let nblocks = self.mesh.num_blocks();
+        let mut block_vars = vec![Vec::new(); nblocks];
+        for part in &parts {
+            for (gid, vars) in crate::snapshot::decode_rank_blocks(part)
+                .expect("malformed peer checkpoint payload")
+            {
+                assert!(gid < nblocks, "peer checkpoint refers to unknown gid {gid}");
+                block_vars[gid] = vars;
+            }
+        }
+        assert!(
+            block_vars.iter().all(|v| !v.is_empty()),
+            "checkpoint gather left a block uncovered"
+        );
+        self.assemble_snapshot(block_vars)
+    }
+
+    /// Finishes a rank engine, returning everything the `vibe-rt`
+    /// conductor merges.
+    pub fn finish(mut self) -> RankOutput {
+        self.drain_comm_events();
+        RankOutput {
+            rank: self.ranks.start,
+            slots: self.slots,
+            recorder: self.rec,
+            events: self.comm_log,
+            history: self.history,
+            time: self.time,
+            dt: self.dt,
+            cycles: self.cycle,
+            spans: self.span_log,
+            probes: self.wait_probes,
+        }
     }
 
     /// Host execution context for per-block parallel stages.
     fn exec(&self) -> ExecCtx {
         ExecCtx::new(self.params.host_threads)
+    }
+
+    /// Whether other engines run some of the virtual ranks (so waits are
+    /// on real peers, not on this engine's own progress).
+    fn has_peers(&self) -> bool {
+        self.ranks.len() < self.params.nranks
+    }
+
+    /// Gives peers the core while this engine waits on their messages.
+    fn wait_for_peers(&self) {
+        if self.has_peers() {
+            std::thread::yield_now();
+        }
     }
 
     /// Applies `ic` to every block and adapts the initial mesh to it:
@@ -516,7 +790,7 @@ impl<P: Package> Driver<P> {
         self.initialize_impl(IcSource::Package);
     }
 
-    /// Applies the selected initial-condition source to every block.
+    /// Applies the selected initial-condition source to every owned block.
     fn apply_ic(&mut self, ic: &IcSource<'_>) {
         // Disjoint field borrows: the package reads while the slots fill.
         let package = &self.package;
@@ -548,16 +822,24 @@ impl<P: Package> Driver<P> {
         self.apply_ic(&ic);
         for _ in 0..rounds {
             self.exchange();
-            let flags = self.collect_tags();
+            let local = self.collect_tags();
+            let flags = self.reconcile_flags(local);
             let decision = enforce_proper_nesting(self.mesh.tree(), &flags);
             if decision.is_empty() {
                 break;
             }
-            self.apply_regrid(&decision);
+            let old_ranks = self.block_ranks();
+            let sources = self
+                .mesh
+                .regrid(&decision)
+                .expect("valid regrid decision")
+                .sources;
+            self.redistribute(&old_ranks, &sources, true);
             self.apply_ic(&ic);
         }
+        let old_ranks = self.block_ranks();
         self.mesh.load_balance(self.params.nranks);
-        self.sync_ranks();
+        self.redistribute(&old_ranks, &unchanged_sources(old_ranks.len()), false);
         self.exchange();
         self.task_fill_derived();
         self.estimate_dt();
@@ -588,7 +870,9 @@ impl<P: Package> Driver<P> {
     /// overlapping in-flight boundary traffic), then the AMR tail and the
     /// timestep estimate. The ready sweep is deterministic, so results are
     /// bitwise identical to a fully barriered stage sequence at any
-    /// `host_threads`.
+    /// `host_threads`. CommWait tasks of a rank engine yield the OS thread
+    /// while peer messages are in flight, so concurrent engines interleave
+    /// without burning cores.
     pub fn step(&mut self) -> CycleSummary {
         assert!(self.dt > 0.0, "initialize() must run before step()");
         self.rec.begin_cycle(self.cycle);
@@ -605,12 +889,12 @@ impl<P: Package> Driver<P> {
         }
         let dt = self.dt;
         self.step_dt = dt;
-        let mut list = Self::build_cycle_list();
-        debug_assert_eq!(
-            list.graph(),
-            cycle_task_graph(),
-            "driver task list drifted from the exported cycle graph"
-        );
+        let mut list = cycle_list::<Self>();
+        if self.has_peers() {
+            // Real cross-thread waits can take arbitrarily many polls; the
+            // default budget exists to catch single-process deadlocks.
+            list.set_max_polls(usize::MAX / 2);
+        }
         let capture = self.params.capture_spans;
         let mut cycle_spans: Vec<vibe_prof::TaskSpan> = Vec::new();
         let stats = list
@@ -622,9 +906,8 @@ impl<P: Package> Driver<P> {
         }
         let blocked = self.comm.take_collective_block_ns();
         if capture {
-            // The driver executes every virtual rank in one thread: its
-            // spans all carry rank 0 (the executor's default).
             for s in &mut cycle_spans {
+                s.rank = self.ranks.start;
                 s.cycle = self.cycle;
             }
             self.span_log.append(&mut cycle_spans);
@@ -658,154 +941,6 @@ impl<P: Package> Driver<P> {
         }
     }
 
-    /// Builds the executable task list for one cycle. Its exported graph is
-    /// identical to [`cycle_task_graph`] (checked in debug builds every
-    /// cycle and by a unit test).
-    fn build_cycle_list() -> TaskList<Self> {
-        let mut list: TaskList<Self> = TaskList::new();
-        let save = list.add_task_meta("SaveStage0", TaskKind::Compute, [], [], |d: &mut Self| {
-            d.task_save_stage0();
-            TaskStatus::Complete
-        });
-        let mut prev = save;
-        for (stage, names) in STAGE_TASK_NAMES.iter().enumerate() {
-            let pack_send = list.add_task_meta(
-                names[0],
-                TaskKind::CommSend,
-                [
-                    StepFunction::StartReceiveBoundBufs,
-                    StepFunction::SendBoundBufs,
-                    StepFunction::InitializeBufferCache,
-                ],
-                [prev],
-                move |d: &mut Self| {
-                    d.task_ghost_pack_send(names[0]);
-                    TaskStatus::Complete
-                },
-            );
-            let interior = list.add_task_meta(
-                names[1],
-                TaskKind::Compute,
-                [StepFunction::CalculateFluxes],
-                [pack_send],
-                |d: &mut Self| {
-                    d.task_flux(FluxPhase::Interior);
-                    TaskStatus::Complete
-                },
-            );
-            let wait = list.add_task_meta(
-                names[2],
-                TaskKind::CommWait,
-                [StepFunction::ReceiveBoundBufs, StepFunction::SetBounds],
-                [pack_send],
-                move |d: &mut Self| d.task_ghost_wait_unpack(names[2]),
-            );
-            let exterior = list.add_task_meta(
-                names[3],
-                TaskKind::Compute,
-                [StepFunction::CalculateFluxes],
-                [interior, wait],
-                |d: &mut Self| {
-                    d.task_flux(FluxPhase::Exterior);
-                    TaskStatus::Complete
-                },
-            );
-            let fc_send = list.add_task_meta(
-                names[4],
-                TaskKind::CommSend,
-                [StepFunction::FluxCorrection],
-                [exterior],
-                move |d: &mut Self| {
-                    d.task_fcorr_send(names[4]);
-                    TaskStatus::Complete
-                },
-            );
-            let fc_apply = list.add_task_meta(
-                names[5],
-                TaskKind::CommWait,
-                [StepFunction::FluxCorrection],
-                [fc_send],
-                move |d: &mut Self| d.task_fcorr_apply(names[5]),
-            );
-            let update = list.add_task_meta(
-                names[6],
-                TaskKind::Compute,
-                [StepFunction::WeightedSumData, StepFunction::FluxDivergence],
-                [fc_apply],
-                move |d: &mut Self| {
-                    d.task_update(stage);
-                    TaskStatus::Complete
-                },
-            );
-            prev = list.add_task_meta(
-                names[7],
-                TaskKind::Compute,
-                [StepFunction::FillDerived],
-                [update],
-                |d: &mut Self| {
-                    d.task_fill_derived();
-                    TaskStatus::Complete
-                },
-            );
-        }
-        let history = list.add_task_meta(
-            "MassHistory",
-            TaskKind::Compute,
-            [StepFunction::MassHistory],
-            [prev],
-            |d: &mut Self| {
-                d.task_history();
-                TaskStatus::Complete
-            },
-        );
-        let tag = list.add_task_meta(
-            "RefinementTag",
-            TaskKind::Compute,
-            [StepFunction::RefinementTag],
-            [prev],
-            |d: &mut Self| {
-                d.step_flags = d.collect_tags();
-                TaskStatus::Complete
-            },
-        );
-        let tree = list.add_task_meta(
-            "TreeUpdate",
-            TaskKind::Serial,
-            [StepFunction::UpdateMeshBlockTree],
-            [tag],
-            |d: &mut Self| {
-                d.task_tree_update();
-                TaskStatus::Complete
-            },
-        );
-        let regrid = list.add_task_meta(
-            "Regrid",
-            TaskKind::Serial,
-            [
-                StepFunction::RedistributeAndRefineMeshBlocks,
-                StepFunction::RebuildBufferCache,
-            ],
-            [tree, history],
-            |d: &mut Self| {
-                d.task_regrid();
-                TaskStatus::Complete
-            },
-        );
-        list.add_task_meta(
-            "EstimateTimeStep",
-            TaskKind::Compute,
-            [StepFunction::EstimateTimeStep],
-            [regrid],
-            |d: &mut Self| {
-                d.comm.set_task(Some("EstimateTimeStep"));
-                d.estimate_dt();
-                d.comm.set_task(None);
-                TaskStatus::Complete
-            },
-        );
-        list
-    }
-
     /// Copies cycle-start state of all two-stage variables (ids cached in
     /// the exchange plan).
     fn task_save_stage0(&mut self) {
@@ -823,16 +958,21 @@ impl<P: Package> Driver<P> {
         });
     }
 
-    /// PackSend task: posts receives, packs and ships every ghost buffer.
-    fn task_ghost_pack_send(&mut self, task: &'static str) {
+    /// PackSend task: posts receives, packs and ships every owned ghost
+    /// buffer.
+    fn task_ghost_pack_send(&mut self) {
         let cfg = self.exchange_config();
         let exec = self.exec();
         let wall = self.rec.wall().clone();
         let _g = wall.region(RegionKey::Named("GhostExchange"));
-        self.comm.set_task(Some(task));
-        let plan = self.plan.take().expect("plan built");
+        let plan = self.plan.as_ref().expect("plan built");
+        let own = Ownership {
+            mesh: &self.mesh,
+            ranks: &self.ranks,
+        };
         self.ghost_state = ghost_pack_and_send(
-            &plan,
+            plan,
+            own,
             &self.slots,
             &mut self.comm,
             &mut self.cache,
@@ -840,33 +980,33 @@ impl<P: Package> Driver<P> {
             exec,
             &mut self.rec,
         );
-        self.plan = Some(plan);
-        self.comm.set_task(None);
     }
 
     /// WaitUnpack task: polls for delivery; once everything arrived, unpacks
     /// into ghost zones and applies physical boundary conditions.
-    fn task_ghost_wait_unpack(&mut self, task: &'static str) -> TaskStatus {
+    fn task_ghost_wait_unpack(&mut self) -> TaskStatus {
         let wall = self.rec.wall().clone();
         let _g = wall.region(RegionKey::Named("GhostExchange"));
-        self.comm.set_task(Some(task));
-        if !ghost_poll(&mut self.ghost_state, &mut self.comm, &mut self.rec) {
-            self.comm.set_task(None);
+        let plan = self.plan.as_ref().expect("plan built");
+        if !ghost_poll(plan, &mut self.ghost_state, &mut self.comm, &mut self.rec) {
+            self.wait_for_peers();
             return TaskStatus::Incomplete;
         }
-        let plan = self.plan.take().expect("plan built");
         let state = std::mem::take(&mut self.ghost_state);
+        let own = Ownership {
+            mesh: &self.mesh,
+            ranks: &self.ranks,
+        };
         let exec = self.exec();
         ghost_set_bounds(
-            &plan,
+            plan,
+            own,
             state,
             &mut self.slots,
             &mut self.comm,
             exec,
             &mut self.rec,
         );
-        self.plan = Some(plan);
-        self.comm.set_task(None);
         self.apply_physical_bcs();
         TaskStatus::Complete
     }
@@ -877,6 +1017,11 @@ impl<P: Package> Driver<P> {
     /// (the flux kernel runs whole packs, so per-block flux time is an
     /// amortized approximation; the RK update contributes exact per-block
     /// times).
+    ///
+    /// Kept out of line: the flux kernel is sensitive to its caller's stack
+    /// layout, and inlined into the `run_task` dispatcher it measured about
+    /// 25% slower on two rank engines (Mesh 64/B16/L2, 2-core Xeon VM).
+    #[inline(never)]
     fn task_flux(&mut self, phase: FluxPhase) {
         let exec = self.exec();
         let wall = self.rec.wall().clone();
@@ -896,33 +1041,31 @@ impl<P: Package> Driver<P> {
         }
     }
 
-    /// FluxCorrSend task: packs and sends restricted fine face fluxes.
-    fn task_fcorr_send(&mut self, task: &'static str) {
+    /// FluxCorrSend task: posts receives for owned coarse blocks, packs and
+    /// sends the restricted fine face fluxes of owned fine blocks.
+    fn task_fcorr_send(&mut self) {
         let exec = self.exec();
-        self.comm.set_task(Some(task));
-        let plan = self.plan.take().expect("plan built");
-        self.fcorr_state = flux_corr_send(&plan, &self.slots, &mut self.comm, exec, &mut self.rec);
-        self.plan = Some(plan);
-        self.comm.set_task(None);
+        let plan = self.plan.as_ref().expect("plan built");
+        let own = Ownership {
+            mesh: &self.mesh,
+            ranks: &self.ranks,
+        };
+        self.fcorr_state =
+            flux_corr_send(plan, own, &self.slots, &mut self.comm, exec, &mut self.rec);
     }
 
     /// FluxCorrApply task: polls for corrections, then overwrites coarse
     /// fluxes once everything arrived.
-    fn task_fcorr_apply(&mut self, task: &'static str) -> TaskStatus {
-        self.comm.set_task(Some(task));
-        let plan = self.plan.take().expect("plan built");
-        let status = if flux_corr_poll(&plan, &mut self.fcorr_state, &mut self.comm, &mut self.rec)
-        {
-            let state = std::mem::take(&mut self.fcorr_state);
-            let exec = self.exec();
-            flux_corr_apply(&plan, &state, &mut self.slots, exec, &mut self.rec);
-            TaskStatus::Complete
-        } else {
-            TaskStatus::Incomplete
-        };
-        self.plan = Some(plan);
-        self.comm.set_task(None);
-        status
+    fn task_fcorr_apply(&mut self) -> TaskStatus {
+        let plan = self.plan.as_ref().expect("plan built");
+        if !flux_corr_poll(plan, &mut self.fcorr_state, &mut self.comm, &mut self.rec) {
+            self.wait_for_peers();
+            return TaskStatus::Incomplete;
+        }
+        let state = std::mem::take(&mut self.fcorr_state);
+        let exec = self.exec();
+        flux_corr_apply(plan, &state, &mut self.slots, exec, &mut self.rec);
+        TaskStatus::Complete
     }
 
     /// RK2 stage update (flux ids cached in the exchange plan).
@@ -936,19 +1079,19 @@ impl<P: Package> Driver<P> {
         let exec = self.exec();
         let wall = self.rec.wall().clone();
         let _g = wall.region(RegionKey::Named("RK2Update"));
-        let ids = self.plan.as_ref().expect("plan built").flux_ids.clone();
+        let ids = &self.plan.as_ref().expect("plan built").flux_ids;
         let measured = self.params.measured_costs;
         let ledger = &mut self.block_cost_ns;
         let rec = &mut self.rec;
-        Self::for_rank_packs_static(&self.mesh, &mut self.slots, |pack| {
+        for_rank_packs(&mut self.slots, |pack| {
             if measured {
                 let mut cost = vec![0u64; pack.len()];
-                flux_divergence_update_costed(pack, exec, a0, b, c, dt, &ids, rec, &mut cost);
+                flux_divergence_update_costed(pack, exec, a0, b, c, dt, ids, rec, &mut cost);
                 for (slot, ns) in pack.iter().zip(cost) {
                     ledger[slot.info.gid] += ns;
                 }
             } else {
-                flux_divergence_update_with_ids(pack, exec, a0, b, c, dt, &ids, rec);
+                flux_divergence_update_with_ids(pack, exec, a0, b, c, dt, ids, rec);
             }
         });
     }
@@ -963,8 +1106,12 @@ impl<P: Package> Driver<P> {
         });
     }
 
-    /// MassHistory task; a no-op on cycles the `history_every` gate skips
-    /// (the graph stays static, the work doesn't run).
+    /// MassHistory task: per-block contributions tagged with their gid,
+    /// gathered from every rank and folded in *global gid order* — the
+    /// reduction order is the same whatever the rank partition, so the
+    /// history is bitwise identical at any decomposition. A no-op on cycles
+    /// the `history_every` gate skips (the graph stays static, the work
+    /// doesn't run).
     fn task_history(&mut self) {
         if self.params.history_every == 0 || !self.cycle.is_multiple_of(self.params.history_every) {
             return;
@@ -973,40 +1120,83 @@ impl<P: Package> Driver<P> {
         let wall = self.rec.wall().clone();
         let _g = wall.region(RegionKey::Step(StepFunction::MassHistory));
         let ncols = self.package.history_labels().len();
-        // Collect per-block rows tagged with gid, then fold in global gid
-        // order: the reduction order is the same whatever the rank
-        // partition, so multi-rank history is bitwise identical to the
-        // single-rank fold (and to the shard path's gathered fold).
-        let mut rows: Vec<(usize, Vec<f64>)> = Vec::new();
+        // Payload: one (gid: u64 le, row: ncols × f64 le) entry per owned
+        // block; an engine that owns nothing contributes an empty payload.
+        let mut payload: Vec<u8> = Vec::new();
         self.with_rank_packs(StepFunction::MassHistory, |pkg, pack, rec| {
             let contrib = pkg.history_contributions(pack, exec, rec);
             for (slot, row) in pack.iter().zip(contrib) {
-                rows.push((slot.info.gid, row));
+                payload.extend_from_slice(&(slot.info.gid as u64).to_le_bytes());
+                for v in row {
+                    payload.extend_from_slice(&v.to_le_bytes());
+                }
             }
         });
+        let parts = self
+            .comm
+            .all_gather_data(StepFunction::MassHistory, payload, &mut self.rec);
+        let mut rows: Vec<(u64, &[u8])> = parts
+            .iter()
+            .flat_map(|part| part.chunks_exact(8 + 8 * ncols))
+            .map(|e| (u64::from_le_bytes(e[..8].try_into().expect("gid")), &e[8..]))
+            .collect();
         rows.sort_by_key(|&(gid, _)| gid);
         let mut values = vec![0.0; ncols];
         for (_, row) in rows {
-            for (acc, x) in values.iter_mut().zip(row) {
-                *acc += x;
+            for (acc, x) in values.iter_mut().zip(row.chunks_exact(8)) {
+                *acc += f64::from_le_bytes(x.try_into().expect("value"));
             }
         }
         self.history.push((self.cycle, values));
     }
 
+    /// Tags the owned blocks, one pack per owned rank. Returns an ordered
+    /// map so downstream regrid decisions never depend on hash iteration
+    /// order; the cross-rank merge is [`Self::reconcile_flags`].
+    fn collect_tags(&mut self) -> BTreeMap<LogicalLocation, AmrFlag> {
+        let wall = self.rec.wall().clone();
+        let _g = wall.region(RegionKey::Step(StepFunction::RefinementTag));
+        let exec = self.exec();
+        let mut flags = BTreeMap::new();
+        self.with_rank_packs(StepFunction::RefinementTag, |pkg, pack, rec| {
+            rec.record_serial(
+                StepFunction::RefinementTag,
+                SerialWork::BlockLoop(pack.len() as u64),
+            );
+            let pack_flags = pkg.tag_refinement(pack, exec, rec);
+            for (slot, f) in pack.iter().zip(pack_flags) {
+                flags.insert(slot.info.loc, f);
+            }
+        });
+        flags
+    }
+
+    /// Merges every rank's refinement flags with an AllGather into one
+    /// ordered map (the merge is order-free).
+    fn reconcile_flags(
+        &mut self,
+        local: BTreeMap<LogicalLocation, AmrFlag>,
+    ) -> BTreeMap<LogicalLocation, AmrFlag> {
+        let parts = self.comm.all_gather_data(
+            StepFunction::UpdateMeshBlockTree,
+            encode_flags(&local),
+            &mut self.rec,
+        );
+        let mut flags = BTreeMap::new();
+        for part in &parts {
+            decode_flags_into(part, &mut flags);
+        }
+        flags
+    }
+
     /// UpdateMeshBlockTree task: gather flags across ranks, reconcile into
-    /// a regrid decision for the Regrid task.
+    /// a regrid decision for the Regrid task — replicated tree surgery,
+    /// identical on every engine.
     fn task_tree_update(&mut self) {
         let wall = self.rec.wall().clone();
         let _g = wall.region(RegionKey::Step(StepFunction::UpdateMeshBlockTree));
-        self.comm.set_task(Some("TreeUpdate"));
-        self.comm.all_gather(
-            StepFunction::UpdateMeshBlockTree,
-            self.mesh.num_blocks() as u64,
-            &mut self.rec,
-        );
-        self.comm.set_task(None);
-        let flags = std::mem::take(&mut self.step_flags);
+        let local = std::mem::take(&mut self.step_flags);
+        let flags = self.reconcile_flags(local);
         let mut decision = enforce_proper_nesting(self.mesh.tree(), &flags);
         decision.derefine_parents = self.gate.filter(decision.derefine_parents, self.cycle);
         self.rec.record_serial(
@@ -1022,8 +1212,10 @@ impl<P: Package> Driver<P> {
         self.step_decision = Some(decision);
     }
 
-    /// Regrid task: apply the decision, load-balance, account block moves
-    /// and list rebuilds, rebuild the buffer cache when invalidated.
+    /// Regrid task: apply the decision, load-balance (every cycle, the
+    /// paper's configuration) on modeled or measured per-block costs,
+    /// migrate block data for the new ownership map, account list
+    /// rebuilds, and rebuild the buffer cache when invalidated.
     fn task_regrid(&mut self) {
         let wall = self.rec.wall().clone();
         let _g = wall.region(RegionKey::Step(
@@ -1031,138 +1223,312 @@ impl<P: Package> Driver<P> {
         ));
         let decision = self.step_decision.take().expect("tree update ran");
         self.step_counts = (decision.refine.len(), decision.derefine_parents.len());
-        let sources = if !decision.is_empty() {
+        let structural = !decision.is_empty();
+        if structural {
             for parent in &decision.derefine_parents {
                 self.gate.record_derefine(parent, self.cycle);
             }
             for loc in &decision.refine {
                 self.gate.record_refine(loc, self.cycle);
             }
-            Some(self.apply_regrid(&decision))
+        }
+        let old_ranks = self.block_ranks();
+        let sources = if structural {
+            self.mesh
+                .regrid(&decision)
+                .expect("valid regrid decision")
+                .sources
         } else {
-            None
+            unchanged_sources(old_ranks.len())
         };
-        // Load balancing every cycle (paper configuration), with per-block
-        // workload costs: either the modeled estimate or this cycle's
-        // measured flux+update ledger mapped through the regrid provenance.
-        let old_ranks: Vec<usize> = self.slots.iter().map(|s| s.info.rank).collect();
         if self.params.measured_costs && !self.block_cost_ns.is_empty() {
-            let mapped = match &sources {
-                Some(s) => map_block_costs(&self.block_cost_ns, s),
-                None => self.block_cost_ns.clone(),
-            };
-            for (gid, &ns) in mapped.iter().enumerate() {
+            // Each rank measured only its own blocks: gather the full
+            // per-old-gid ledger so every engine applies identical weights
+            // (the deterministic partition depends on it), then map it
+            // through the regrid provenance onto new gids.
+            let mut payload = Vec::new();
+            for (gid, &ns) in self.block_cost_ns.iter().enumerate() {
+                if ns > 0 {
+                    payload.extend_from_slice(&(gid as u64).to_le_bytes());
+                    payload.extend_from_slice(&ns.to_le_bytes());
+                }
+            }
+            let parts = self.comm.all_gather_data(
+                StepFunction::RedistributeAndRefineMeshBlocks,
+                payload,
+                &mut self.rec,
+            );
+            let mut full = vec![0u64; old_ranks.len()];
+            for pair in parts.iter().flat_map(|p| p.chunks_exact(16)) {
+                let gid = u64::from_le_bytes(pair[..8].try_into().expect("gid")) as usize;
+                full[gid] = u64::from_le_bytes(pair[8..].try_into().expect("cost"));
+            }
+            for (gid, &ns) in map_block_costs(&full, &sources).iter().enumerate() {
                 self.mesh.set_block_cost(gid, (ns as f64).max(1.0));
             }
         } else {
             self.params.cost_model.apply(&mut self.mesh);
         }
         self.mesh.load_balance(self.params.nranks);
-        self.sync_ranks();
-        // Blocks that moved ranks ship their full state.
-        for (slot, &old_rank) in self.slots.iter().zip(&old_ranks) {
-            if slot.info.rank != old_rank {
-                let bytes = slot.nbytes() as u64;
-                let cells = slot.data.shape().interior_count() as u64;
-                self.rec.record_p2p(
-                    StepFunction::RedistributeAndRefineMeshBlocks,
-                    bytes,
-                    cells,
-                    false,
-                );
-            }
-        }
+        self.redistribute(&old_ranks, &sources, structural);
         // Per-cycle list rebuild, cost computation, ownership update, and
         // SetMeshBlockNeighbors — load balancing runs every cycle in the
-        // paper's configuration, and this scalar block management is the
-        // dominant serial cost of low-rank GPU runs (Fig. 11).
+        // paper's configuration, and this scalar block management (the
+        // mesh-wide list rebuild, replicated on every rank as in Parthenon)
+        // is the dominant serial cost of low-rank GPU runs (Fig. 11).
         self.rec.record_serial(
             StepFunction::RedistributeAndRefineMeshBlocks,
             SerialWork::BlockLoop(8 * self.mesh.num_blocks() as u64),
         );
-        let boundary_count: usize = (0..self.mesh.num_blocks())
-            .map(|g| self.mesh.neighbors(g).len())
-            .sum();
+        let boundary_count = self.boundary_count();
         self.rec.record_serial(
             StepFunction::RedistributeAndRefineMeshBlocks,
-            SerialWork::BoundaryLoop(boundary_count as u64),
+            SerialWork::BoundaryLoop(boundary_count),
         );
         // BuildTagMapAndBoundaryBuffers + SetMeshBlockNeighbors.
         if !self.cache.is_valid() {
-            let nbuffers: usize = (0..self.mesh.num_blocks())
-                .map(|g| self.mesh.neighbors(g).len())
-                .sum();
             self.cache
-                .rebuild(nbuffers as u64, nbuffers as u64 * 96, &mut self.rec);
+                .rebuild(boundary_count, boundary_count * 96, &mut self.rec);
+        }
+        self.comm.mark_all_stale();
+    }
+
+    /// Block-neighbor boundaries over the whole mesh.
+    fn boundary_count(&self) -> u64 {
+        (0..self.mesh.num_blocks())
+            .map(|g| self.mesh.neighbors(g).len() as u64)
+            .sum()
+    }
+
+    /// Current rank of every block of the mesh, by gid.
+    fn block_ranks(&self) -> Vec<usize> {
+        self.mesh.blocks().iter().map(|b| b.rank()).collect()
+    }
+
+    /// Rebuilds the owned slots for the mesh's current blocks and
+    /// ownership, given each block's rank before the change (`old_ranks`,
+    /// by old gid) and where each new block's data comes from (`sources`).
+    ///
+    /// Every (old block, new rank) pair whose ranks differ is one migration
+    /// message between virtual ranks. Its data crosses the transport only
+    /// when it leaves or enters the owned range — all sends strictly before
+    /// any blocking receive, see the deadlock-freedom argument in DESIGN.md
+    /// — while a move between two owned ranks keeps the data in place and
+    /// only records the message. New blocks are filled by prolongation or
+    /// restriction in parallel.
+    fn redistribute(&mut self, old_ranks: &[usize], sources: &[RegridSource], structural: bool) {
+        let ranks = self.ranks.clone();
+        let old_first = self.slots.first().map_or(0, |s| s.info.gid);
+        let old_run = old_first..old_first + self.slots.len();
+        let old_bytes: usize = self.slots.iter().map(BlockSlot::nbytes).sum();
+        let func = StepFunction::RedistributeAndRefineMeshBlocks;
+
+        // Which ranks need each old block under the new ownership map.
+        let mut dests: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); old_ranks.len()];
+        for (g, source) in sources.iter().enumerate() {
+            let dst = self.mesh.block(g).rank();
+            for &x in source_old_gids(source) {
+                dests[x].insert(dst);
+            }
+        }
+        // Ship owned old blocks to every other rank that needs them, in
+        // (old gid, dst) order.
+        for (x, ds) in dests.iter().enumerate() {
+            let src = old_ranks[x];
+            if !ranks.contains(&src) {
+                continue;
+            }
+            for &dst in ds.iter().filter(|&&d| d != src) {
+                let data = &self.slots[x - old_first].data;
+                let cells = data.shape().interior_count() as u64;
+                if ranks.contains(&dst) {
+                    let len: usize = data.vars().iter().map(|v| v.data().as_slice().len()).sum();
+                    self.rec.record_p2p(func, (len * 8) as u64, cells, false);
+                } else {
+                    let payload = serialize_block(data);
+                    let key = BoundaryKey::new(x, x, MIGRATE_TAG);
+                    let meta = SendMeta { src, dst, cells };
+                    self.comm.send(key, payload, meta, func, &mut self.rec);
+                }
+            }
+        }
+        // Fetch the old blocks from other engines that owned new blocks are
+        // built from. The loop blocks until every one lands — the
+        // migration-stall wait state (probed, like collective blocking,
+        // because it hides inside a task action the span layer counts as
+        // busy).
+        let mut pending: Vec<usize> = (0..old_ranks.len())
+            .filter(|&x| {
+                !ranks.contains(&old_ranks[x]) && dests[x].iter().any(|d| ranks.contains(d))
+            })
+            .collect();
+        for &x in &pending {
+            self.comm.start_receive(BoundaryKey::new(x, x, MIGRATE_TAG));
+        }
+        let mut payloads: HashMap<usize, Vec<f64>> = HashMap::new();
+        let stall_t0 =
+            (!pending.is_empty() && self.params.capture_spans).then(std::time::Instant::now);
+        while !pending.is_empty() {
+            let (comm, rec) = (&mut self.comm, &mut self.rec);
+            pending.retain(
+                |&x| match comm.try_receive(BoundaryKey::new(x, x, MIGRATE_TAG), rec) {
+                    Some(buf) => {
+                        payloads.insert(x, buf);
+                        false
+                    }
+                    None => true,
+                },
+            );
+            if !pending.is_empty() {
+                std::thread::yield_now();
+            }
+        }
+        if let Some(t0) = stall_t0 {
+            self.wait_probes.migration_stall_ns += t0.elapsed().as_nanos() as u64;
+        }
+        let mut fetched: HashMap<usize, BlockData> = payloads
+            .into_iter()
+            .map(|(x, payload)| {
+                let mut data = self.fresh_data();
+                deserialize_into(&mut data, &payload);
+                (x, data)
+            })
+            .collect();
+
+        // Pass 1 (serial): the new owned run in ascending gid — reusing
+        // owned unchanged slots, adopting fetched ones, allocating fresh
+        // ones for refined/derefined blocks.
+        let blocks = self.mesh.blocks();
+        let new_first = blocks.partition_point(|b| b.rank() < ranks.start);
+        let new_end = blocks.partition_point(|b| b.rank() < ranks.end);
+        let mut old: Vec<Option<BlockSlot>> = std::mem::take(&mut self.slots)
+            .into_iter()
+            .map(Some)
+            .collect();
+        let mut new_slots = Vec::with_capacity(new_end - new_first);
+        let mut created = 0u64;
+        let mut moved_cells: BTreeMap<usize, u64> = BTreeMap::new();
+        for (g, source) in sources.iter().enumerate().take(new_end).skip(new_first) {
+            let info = BlockInfo::from_mesh(&self.mesh, g);
+            let slot = match source {
+                RegridSource::Unchanged { old_gid } if old_run.contains(old_gid) => {
+                    let mut s = old[old_gid - old_first]
+                        .take()
+                        .expect("unchanged block available");
+                    s.info = info;
+                    s
+                }
+                RegridSource::Unchanged { old_gid } => {
+                    BlockSlot::new(info, fetched.remove(old_gid).expect("migrated block"))
+                }
+                RegridSource::Refined { .. } | RegridSource::Derefined { .. } => {
+                    created += 1;
+                    let s = self.new_slot(g);
+                    *moved_cells.entry(info.rank).or_insert(0) +=
+                        s.data.shape().interior_count() as u64;
+                    s
+                }
+            };
+            new_slots.push(slot);
+        }
+        // Pass 2 (parallel): fill new blocks by prolongation/restriction.
+        // Refined parents and derefined children are never `Unchanged`, so
+        // their old slots survive pass 1 and are read-shared here.
+        if created > 0 {
+            let (old, fetched) = (&old, &fetched);
+            let source = |x: usize| -> &BlockData {
+                if old_run.contains(&x) {
+                    &old[x - old_first].as_ref().expect("source block").data
+                } else {
+                    &fetched[&x]
+                }
+            };
+            self.exec()
+                .for_each_block(&mut new_slots, |_, slot| match &sources[slot.info.gid] {
+                    RegridSource::Unchanged { .. } => {}
+                    RegridSource::Refined {
+                        parent_old_gid,
+                        child_index,
+                    } => {
+                        prolongate_to_child(source(*parent_old_gid), *child_index, &mut slot.data);
+                    }
+                    RegridSource::Derefined { child_old_gids } => {
+                        let children: Vec<&BlockData> =
+                            child_old_gids.iter().map(|&x| source(x)).collect();
+                        restrict_to_parent(&children, &mut slot.data);
+                    }
+                });
+        }
+        drop(old);
+        self.slots = new_slots;
+        let new_bytes: usize = self.slots.iter().map(BlockSlot::nbytes).sum();
+        self.rec
+            .record_alloc(MemSpace::Kokkos, new_bytes as i64 - old_bytes as i64);
+        if structural {
+            // Data movement for new blocks plus neighbor/boundary rebuild
+            // (BuildTagMapAndBoundaryBuffers + SetMeshBlockNeighbors) are
+            // part of RedistributeAndRefineMeshBlocks.
+            self.rec
+                .record_serial(func, SerialWork::Allocations(created));
+            if created > 0 {
+                let per_block = self.slots.first().map_or(0, |s| s.nbytes() as u64);
+                self.rec
+                    .record_serial(func, SerialWork::HostCopyBytes(created * per_block));
+            }
+            let boundaries = self.boundary_count();
+            self.rec
+                .record_serial(func, SerialWork::BoundaryLoop(boundaries));
+            let mut launcher = Launcher::new(&mut self.rec);
+            for cells in moved_cells.values() {
+                launcher.record_only(&catalog::PROLONG_RESTRICT_LOOP, *cells, 1.0);
+            }
+            self.cache.invalidate();
+        }
+        // New gids, neighbor lists, or owned run: the communication plan
+        // (and its cached variable-id lookups) must be rebuilt.
+        if structural || old_run != (new_first..new_end) {
+            self.plan = None;
         }
     }
 
     /// Extracts the measured per-stage breakdown of the most recently
     /// archived cycle (all zeros when profiling is off).
     fn last_cycle_timing(&self) -> CycleTiming {
-        last_cycle_timing_from(&self.rec)
+        self.rec
+            .wall()
+            .with_cycles(|cycles| {
+                let Some(last) = cycles.last() else {
+                    return CycleTiming::default();
+                };
+                let by_func = last.tree.by_step_function();
+                let func_ns = |f: StepFunction| by_func.get(&f).map_or(0, |(ns, _)| *ns);
+                let flat = last.tree.flatten();
+                let named_ns = |name: &str| -> u64 {
+                    flat.iter()
+                        .filter(|r| matches!(r.key, RegionKey::Named(n) if n == name))
+                        .map(|r| r.stats.total_ns)
+                        .sum()
+                };
+                CycleTiming {
+                    wall_ns: named_ns("Cycle"),
+                    flux_ns: func_ns(StepFunction::CalculateFluxes),
+                    comm_ns: named_ns("GhostExchange"),
+                    update_ns: named_ns("RK2Update"),
+                    amr_ns: func_ns(StepFunction::RefinementTag)
+                        + func_ns(StepFunction::UpdateMeshBlockTree)
+                        + func_ns(StepFunction::RedistributeAndRefineMeshBlocks),
+                    dt_ns: func_ns(StepFunction::EstimateTimeStep),
+                    pool_busy_ns: last.pool.busy_ns,
+                    pool_thread_time_ns: last.pool.thread_time_ns,
+                    load_imbalance: last.pool.load_imbalance(),
+                    // Filled from the task executor's stats by step().
+                    compute_task_ns: 0,
+                    overlapped_compute_ns: 0,
+                }
+            })
+            .unwrap_or_default()
     }
-}
 
-/// Extracts the measured per-stage breakdown of the most recently archived
-/// cycle of `rec` (all zeros when profiling is off). Shared between the
-/// single-process [`Driver`] and the rank-parallel
-/// [`RankShard`](crate::shard::RankShard).
-pub(crate) fn last_cycle_timing_from(rec: &Recorder) -> CycleTiming {
-    rec.wall()
-        .with_cycles(|cycles| {
-            let Some(last) = cycles.last() else {
-                return CycleTiming::default();
-            };
-            let by_func = last.tree.by_step_function();
-            let func_ns = |f: StepFunction| by_func.get(&f).map_or(0, |(ns, _)| *ns);
-            let flat = last.tree.flatten();
-            let named_ns = |name: &str| -> u64 {
-                flat.iter()
-                    .filter(|r| matches!(r.key, RegionKey::Named(n) if n == name))
-                    .map(|r| r.stats.total_ns)
-                    .sum()
-            };
-            CycleTiming {
-                wall_ns: named_ns("Cycle"),
-                flux_ns: func_ns(StepFunction::CalculateFluxes),
-                comm_ns: named_ns("GhostExchange"),
-                update_ns: named_ns("RK2Update"),
-                amr_ns: func_ns(StepFunction::RefinementTag)
-                    + func_ns(StepFunction::UpdateMeshBlockTree)
-                    + func_ns(StepFunction::RedistributeAndRefineMeshBlocks),
-                dt_ns: func_ns(StepFunction::EstimateTimeStep),
-                pool_busy_ns: last.pool.busy_ns,
-                pool_thread_time_ns: last.pool.thread_time_ns,
-                load_imbalance: last.pool.load_imbalance(),
-                // Filled from the task executor's stats by step().
-                compute_task_ns: 0,
-                overlapped_compute_ns: 0,
-            }
-        })
-        .unwrap_or_default()
-}
-
-/// Maps a per-old-gid measured cost ledger through a regrid's provenance
-/// records onto the new gid space: unchanged blocks keep their cost,
-/// refined children inherit the parent's (every block has the same cell
-/// count), derefined parents take the mean of their children. Shared by the
-/// single-process [`Driver`] and [`RankShard`](crate::shard::RankShard).
-pub(crate) fn map_block_costs(old_costs: &[u64], sources: &[RegridSource]) -> Vec<u64> {
-    sources
-        .iter()
-        .map(|s| match s {
-            RegridSource::Unchanged { old_gid } => old_costs[*old_gid],
-            RegridSource::Refined { parent_old_gid, .. } => old_costs[*parent_old_gid],
-            RegridSource::Derefined { child_old_gids } => {
-                let sum: u64 = child_old_gids.iter().map(|&g| old_costs[g]).sum();
-                sum / child_old_gids.len().max(1) as u64
-            }
-        })
-        .collect()
-}
-
-impl<P: Package> Driver<P> {
     /// The exchange configuration derived from the driver parameters.
     fn exchange_config(&self) -> ExchangeConfig {
         ExchangeConfig {
@@ -1171,8 +1537,8 @@ impl<P: Package> Driver<P> {
         }
     }
 
-    /// Rebuilds the communication plan if the mesh generation changed
-    /// (plan invalidation happens in [`Self::apply_regrid`]).
+    /// Rebuilds the communication plan if the mesh generation or the owned
+    /// run changed (plan invalidation happens in [`Self::redistribute`]).
     fn ensure_plan(&mut self) {
         if self.plan.is_none() {
             let cfg = self.exchange_config();
@@ -1192,14 +1558,15 @@ impl<P: Package> Driver<P> {
         let cfg = self.exchange_config();
         let exec = self.exec();
         self.ensure_plan();
-        let _g = self
-            .rec
-            .wall()
-            .clone()
-            .region(RegionKey::Named("GhostExchange"));
-        let plan = self.plan.take().expect("plan built");
+        let wall = self.rec.wall().clone();
+        let _g = wall.region(RegionKey::Named("GhostExchange"));
+        let own = Ownership {
+            mesh: &self.mesh,
+            ranks: &self.ranks,
+        };
         exchange_ghosts_with_plan(
-            &plan,
+            self.plan.as_ref().expect("plan built"),
+            own,
             &mut self.slots,
             &mut self.comm,
             &mut self.cache,
@@ -1207,7 +1574,6 @@ impl<P: Package> Driver<P> {
             exec,
             &mut self.rec,
         );
-        self.plan = Some(plan);
         self.apply_physical_bcs();
     }
 
@@ -1218,15 +1584,12 @@ impl<P: Package> Driver<P> {
         if periodic.iter().take(dim).all(|&p| p) {
             return;
         }
-        let _g = self
-            .rec
-            .wall()
-            .clone()
-            .region_hot(RegionKey::Named("PhysicalBCs"));
+        let wall = self.rec.wall().clone();
+        let _g = wall.region_hot(RegionKey::Named("PhysicalBCs"));
         let shape = self.mesh.index_shape();
         let kind = self.params.boundary_condition;
         let base_blocks = self.mesh.params().base_blocks();
-        let ids = self.plan.as_ref().expect("plan built").ghost_ids.clone();
+        let ids = &self.plan.as_ref().expect("plan built").ghost_ids;
         let exec = self.exec();
         exec.for_each_block(&mut self.slots, |_, slot| {
             let loc = slot.info.loc;
@@ -1244,7 +1607,7 @@ impl<P: Package> Driver<P> {
                     if !at_edge {
                         continue;
                     }
-                    for &id in &ids {
+                    for &id in ids {
                         let var = slot.data.var_mut(id);
                         let is_vector = var.ncomp() == 3;
                         apply_face_bc(var.data_mut(), &shape, d, side, kind, is_vector);
@@ -1252,170 +1615,6 @@ impl<P: Package> Driver<P> {
                 }
             }
         });
-    }
-
-    /// Collects refinement tags from every rank's pack. Returns an ordered
-    /// map so downstream regrid decisions never depend on hash iteration
-    /// order.
-    fn collect_tags(&mut self) -> BTreeMap<vibe_mesh::LogicalLocation, AmrFlag> {
-        let _g = self
-            .rec
-            .wall()
-            .clone()
-            .region(RegionKey::Step(StepFunction::RefinementTag));
-        let mut flags = BTreeMap::new();
-        let mesh = &self.mesh;
-        let rec = &mut self.rec;
-        let package = &self.package;
-        let exec = ExecCtx::new(self.params.host_threads);
-        let mut start = 0usize;
-        let mut rest: &mut [BlockSlot] = &mut self.slots;
-        while !rest.is_empty() {
-            let rank = rest[0].info.rank;
-            let len = rest.iter().take_while(|s| s.info.rank == rank).count();
-            let (head, tail) = rest.split_at_mut(len);
-            let mut pack: Vec<&mut BlockSlot> = head.iter_mut().collect();
-            rec.record_serial(
-                StepFunction::RefinementTag,
-                SerialWork::BlockLoop(len as u64),
-            );
-            let pack_flags = package.tag_refinement(&mut pack, exec, rec);
-            for (slot, f) in pack.iter().zip(pack_flags) {
-                flags.insert(slot.info.loc, f);
-            }
-            for slot in pack.iter_mut() {
-                let lookups = slot.data.take_string_lookups();
-                if lookups > 0 {
-                    rec.record_serial(
-                        StepFunction::RefinementTag,
-                        SerialWork::StringLookups(lookups),
-                    );
-                }
-            }
-            rest = tail;
-            start += len;
-        }
-        let _ = start;
-        let _ = mesh;
-        flags
-    }
-
-    /// Applies a regrid decision: tree surgery, new block list, data
-    /// movement via prolongation/restriction. Returns the per-new-gid
-    /// provenance records (which old blocks each new block was built from)
-    /// so the caller can remap per-block ledgers.
-    fn apply_regrid(
-        &mut self,
-        decision: &vibe_mesh::refinement::RegridDecision,
-    ) -> Vec<RegridSource> {
-        let old_bytes: usize = self.slots.iter().map(BlockSlot::nbytes).sum();
-        let outcome = self.mesh.regrid(decision).expect("valid regrid decision");
-        let mut old: Vec<Option<BlockSlot>> = std::mem::take(&mut self.slots)
-            .into_iter()
-            .map(Some)
-            .collect();
-        let mut created = 0u64;
-        let mut moved_cells = 0u64;
-        // Pass 1 (serial): build the new slot list — reusing unchanged
-        // slots, allocating fresh ones for refined/derefined blocks.
-        let mut new_slots = Vec::with_capacity(outcome.sources.len());
-        for (gid, source) in outcome.sources.iter().enumerate() {
-            let slot = match source {
-                RegridSource::Unchanged { old_gid } => {
-                    let mut s = old[*old_gid].take().expect("unchanged block available");
-                    s.info = BlockInfo::from_mesh(&self.mesh, gid);
-                    s
-                }
-                RegridSource::Refined { .. } | RegridSource::Derefined { .. } => {
-                    created += 1;
-                    let s = self.new_slot(gid);
-                    moved_cells += s.data.shape().interior_count() as u64;
-                    s
-                }
-            };
-            new_slots.push(slot);
-        }
-        // Pass 2 (parallel): fill new blocks by prolongation/restriction.
-        // Refined parents and derefined children are never `Unchanged`, so
-        // their old slots survive pass 1 and are read-shared here.
-        let sources = &outcome.sources;
-        let old_ref = &old;
-        let exec = ExecCtx::new(self.params.host_threads);
-        exec.for_each_block(&mut new_slots, |gid, slot| match &sources[gid] {
-            RegridSource::Unchanged { .. } => {}
-            RegridSource::Refined {
-                parent_old_gid,
-                child_index,
-            } => {
-                let parent = old_ref[*parent_old_gid].as_ref().expect("parent available");
-                prolongate_to_child(&parent.data, *child_index, &mut slot.data);
-            }
-            RegridSource::Derefined { child_old_gids } => {
-                let children: Vec<&BlockData> = child_old_gids
-                    .iter()
-                    .map(|&g| &old_ref[g].as_ref().expect("child available").data)
-                    .collect();
-                restrict_to_parent(&children, &mut slot.data);
-            }
-        });
-        self.slots = new_slots;
-        let new_bytes: usize = self.slots.iter().map(BlockSlot::nbytes).sum();
-        self.rec
-            .record_alloc(MemSpace::Kokkos, new_bytes as i64 - old_bytes as i64);
-        self.rec.record_serial(
-            StepFunction::RedistributeAndRefineMeshBlocks,
-            SerialWork::Allocations(created),
-        );
-        // Data movement for new blocks plus neighbor/boundary rebuild
-        // (BuildTagMapAndBoundaryBuffers + SetMeshBlockNeighbors) are part
-        // of RedistributeAndRefineMeshBlocks.
-        if created > 0 {
-            let per_block = self.slots.first().map(|s| s.nbytes() as u64).unwrap_or(0);
-            self.rec.record_serial(
-                StepFunction::RedistributeAndRefineMeshBlocks,
-                SerialWork::HostCopyBytes(created * per_block),
-            );
-        }
-        let boundaries: usize = (0..self.mesh.num_blocks())
-            .map(|g| self.mesh.neighbors(g).len())
-            .sum();
-        self.rec.record_serial(
-            StepFunction::RedistributeAndRefineMeshBlocks,
-            SerialWork::BoundaryLoop(boundaries as u64),
-        );
-        if moved_cells > 0 {
-            Launcher::new(&mut self.rec).record_only(
-                &catalog::PROLONG_RESTRICT_LOOP,
-                moved_cells,
-                1.0,
-            );
-        }
-        self.cache.invalidate();
-        // New gids and neighbor lists: the communication plan (and its
-        // cached variable-id lookups) must be rebuilt.
-        self.plan = None;
-        outcome.sources
-    }
-
-    /// Decomposes an initialized driver into the pieces a rank shard keeps:
-    /// the (replicated) mesh, all block slots in gid order, the physics
-    /// package, the driver parameters, and the full clock/AMR continuation
-    /// state. Used by
-    /// [`RankShard::from_replica`](crate::shard::RankShard::from_replica),
-    /// which must inherit the clock and derefinement gate so a replica built
-    /// from a checkpoint resumes with bitwise-identical regrid decisions.
-    pub(crate) fn into_parts(self) -> DriverParts<P> {
-        DriverParts {
-            mesh: self.mesh,
-            slots: self.slots,
-            package: self.package,
-            params: self.params,
-            time: self.time,
-            dt: self.dt,
-            cycle: self.cycle,
-            gate: self.gate,
-            history: self.history,
-        }
     }
 
     /// Restores the simulation clock from a checkpoint (used by
@@ -1440,33 +1639,34 @@ impl<P: Package> Driver<P> {
         &self.gate
     }
 
-    /// Refreshes slot rank fields from the mesh after load balancing.
-    fn sync_ranks(&mut self) {
-        for (gid, slot) in self.slots.iter_mut().enumerate() {
-            slot.info.rank = self.mesh.block(gid).rank();
-        }
-    }
-
-    /// Estimates the next timestep: per-rank kernel + AllReduce.
+    /// EstimateTimeStep: local minimum over the owned rank packs, then an
+    /// AllReduce folded as `f64::min` in rank order with an infinity
+    /// identity (an engine that owns nothing deposits infinity).
     fn estimate_dt(&mut self) {
-        let _g = self
-            .rec
-            .wall()
-            .clone()
-            .region(RegionKey::Step(StepFunction::EstimateTimeStep));
+        let wall = self.rec.wall().clone();
+        let _g = wall.region(RegionKey::Step(StepFunction::EstimateTimeStep));
         let cfl = self.params.cfl;
         let exec = self.exec();
         let mut min_dt = f64::INFINITY;
         self.with_rank_packs(StepFunction::EstimateTimeStep, |pkg, pack, rec| {
             min_dt = min_dt.min(pkg.estimate_dt(pack, exec, rec));
         });
-        self.comm
-            .all_reduce(StepFunction::EstimateTimeStep, 8, &mut self.rec);
-        self.dt = cfl * min_dt;
+        let parts = self.comm.all_reduce_data(
+            StepFunction::EstimateTimeStep,
+            min_dt.to_le_bytes().to_vec(),
+            8,
+            &mut self.rec,
+        );
+        let global = parts
+            .iter()
+            .map(|p| f64::from_le_bytes(p.as_slice().try_into().expect("8-byte dt deposit")))
+            .fold(f64::INFINITY, f64::min);
+        self.dt = cfl * global;
     }
 
-    /// Runs `f` once per rank over that rank's contiguous pack of blocks,
-    /// then drains string-lookup counters into `func`'s serial profile.
+    /// Runs `f` once per owned rank over that rank's contiguous pack of
+    /// blocks, then drains string-lookup counters into `func`'s serial
+    /// profile.
     fn with_rank_packs(
         &mut self,
         func: StepFunction,
@@ -1474,39 +1674,186 @@ impl<P: Package> Driver<P> {
     ) {
         let package = &self.package;
         let rec = &mut self.rec;
-        let mut rest: &mut [BlockSlot] = &mut self.slots;
-        while !rest.is_empty() {
-            let rank = rest[0].info.rank;
-            let len = rest.iter().take_while(|s| s.info.rank == rank).count();
-            let (head, tail) = rest.split_at_mut(len);
-            let mut pack: Vec<&mut BlockSlot> = head.iter_mut().collect();
-            f(package, &mut pack, rec);
+        for_rank_packs(&mut self.slots, |pack| {
+            f(package, pack, rec);
             for slot in pack.iter_mut() {
                 let lookups = slot.data.take_string_lookups();
                 if lookups > 0 {
                     rec.record_serial(func, SerialWork::StringLookups(lookups));
                 }
             }
-            rest = tail;
-        }
+        });
     }
+}
 
-    /// Like [`Self::with_rank_packs`] but for framework closures that need
-    /// `self.rec` captured separately.
-    fn for_rank_packs_static(
-        _mesh: &Mesh,
-        slots: &mut [BlockSlot],
-        mut f: impl FnMut(&mut Vec<&mut BlockSlot>),
-    ) {
-        let mut rest: &mut [BlockSlot] = slots;
-        while !rest.is_empty() {
-            let rank = rest[0].info.rank;
-            let len = rest.iter().take_while(|s| s.info.rank == rank).count();
-            let (head, tail) = rest.split_at_mut(len);
-            let mut pack: Vec<&mut BlockSlot> = head.iter_mut().collect();
-            f(&mut pack);
-            rest = tail;
+impl<P: Package> CycleContext for Driver<P> {
+    fn run_task(&mut self, name: &'static str, task: CycleTask) -> TaskStatus {
+        self.comm.set_task(Some(name));
+        let status = match task {
+            CycleTask::SaveStage0 => {
+                self.task_save_stage0();
+                TaskStatus::Complete
+            }
+            CycleTask::PackSend => {
+                self.task_ghost_pack_send();
+                TaskStatus::Complete
+            }
+            CycleTask::Flux(phase) => {
+                self.task_flux(phase);
+                TaskStatus::Complete
+            }
+            CycleTask::WaitUnpack => self.task_ghost_wait_unpack(),
+            CycleTask::FluxCorrSend => {
+                self.task_fcorr_send();
+                TaskStatus::Complete
+            }
+            CycleTask::FluxCorrApply => self.task_fcorr_apply(),
+            CycleTask::Update(stage) => {
+                self.task_update(stage);
+                TaskStatus::Complete
+            }
+            CycleTask::FillDerived => {
+                self.task_fill_derived();
+                TaskStatus::Complete
+            }
+            CycleTask::MassHistory => {
+                self.task_history();
+                TaskStatus::Complete
+            }
+            CycleTask::RefinementTag => {
+                self.step_flags = self.collect_tags();
+                TaskStatus::Complete
+            }
+            CycleTask::TreeUpdate => {
+                self.task_tree_update();
+                TaskStatus::Complete
+            }
+            CycleTask::Regrid => {
+                self.task_regrid();
+                TaskStatus::Complete
+            }
+            CycleTask::EstimateTimeStep => {
+                self.estimate_dt();
+                TaskStatus::Complete
+            }
+        };
+        self.comm.set_task(None);
+        status
+    }
+}
+
+/// Runs `f` once per rank over that rank's contiguous pack of `slots`
+/// (gid-ordered, so each rank's blocks are adjacent).
+fn for_rank_packs(slots: &mut [BlockSlot], mut f: impl FnMut(&mut Vec<&mut BlockSlot>)) {
+    let mut rest: &mut [BlockSlot] = slots;
+    while !rest.is_empty() {
+        let rank = rest[0].info.rank;
+        let len = rest.iter().take_while(|s| s.info.rank == rank).count();
+        let (head, tail) = rest.split_at_mut(len);
+        let mut pack: Vec<&mut BlockSlot> = head.iter_mut().collect();
+        f(&mut pack);
+        rest = tail;
+    }
+}
+
+/// Provenance of a mesh whose blocks did not change: every block is its
+/// own source.
+fn unchanged_sources(nblocks: usize) -> Vec<RegridSource> {
+    (0..nblocks)
+        .map(|old_gid| RegridSource::Unchanged { old_gid })
+        .collect()
+}
+
+/// Maps a per-old-gid measured cost ledger through a regrid's provenance
+/// records onto the new gid space: unchanged blocks keep their cost,
+/// refined children inherit the parent's (every block has the same cell
+/// count), derefined parents take the mean of their children.
+fn map_block_costs(old_costs: &[u64], sources: &[RegridSource]) -> Vec<u64> {
+    sources
+        .iter()
+        .map(|s| match s {
+            RegridSource::Unchanged { old_gid } => old_costs[*old_gid],
+            RegridSource::Refined { parent_old_gid, .. } => old_costs[*parent_old_gid],
+            RegridSource::Derefined { child_old_gids } => {
+                let sum: u64 = child_old_gids.iter().map(|&g| old_costs[g]).sum();
+                sum / child_old_gids.len().max(1) as u64
+            }
+        })
+        .collect()
+}
+
+/// The old gids a post-regrid block's data comes from.
+fn source_old_gids(source: &RegridSource) -> &[usize] {
+    match source {
+        RegridSource::Unchanged { old_gid } => std::slice::from_ref(old_gid),
+        RegridSource::Refined { parent_old_gid, .. } => std::slice::from_ref(parent_old_gid),
+        RegridSource::Derefined { child_old_gids } => child_old_gids,
+    }
+}
+
+/// Serializes every variable's full data array (ghosts included — the
+/// prolongation stencil reads parent neighbor cells that reach into the
+/// ghost layers) in registration order. Fluxes and stage-0 copies are dead
+/// across the regrid point (SaveStage0 overwrites them next cycle) and are
+/// not shipped.
+fn serialize_block(data: &BlockData) -> Vec<f64> {
+    let mut out = Vec::new();
+    for var in data.vars() {
+        out.extend_from_slice(var.data().as_slice());
+    }
+    out
+}
+
+/// Inverse of [`serialize_block`] into an identically registered container.
+fn deserialize_into(data: &mut BlockData, payload: &[f64]) {
+    let mut offset = 0usize;
+    for i in 0..data.num_vars() {
+        let dst = data.var_mut(VarId(i)).data_mut().as_mut_slice();
+        dst.copy_from_slice(&payload[offset..offset + dst.len()]);
+        offset += dst.len();
+    }
+    assert_eq!(offset, payload.len(), "payload matches registration");
+}
+
+/// Wire record: level (i32), lx1..lx3 (i64), flag (u8).
+const FLAG_RECORD_BYTES: usize = 4 + 3 * 8 + 1;
+
+/// Serializes refinement flags (all of them, `Same` included, so the merged
+/// map equals a single-engine tag map).
+fn encode_flags(flags: &BTreeMap<LogicalLocation, AmrFlag>) -> Vec<u8> {
+    let mut out = Vec::with_capacity(flags.len() * FLAG_RECORD_BYTES);
+    for (loc, flag) in flags {
+        out.extend_from_slice(&loc.level().to_le_bytes());
+        for d in 0..3 {
+            out.extend_from_slice(&loc.lx_d(d).to_le_bytes());
         }
+        out.push(match flag {
+            AmrFlag::Derefine => 0,
+            AmrFlag::Same => 1,
+            AmrFlag::Refine => 2,
+        });
+    }
+    out
+}
+
+/// Inverse of [`encode_flags`], merging into `flags`.
+fn decode_flags_into(bytes: &[u8], flags: &mut BTreeMap<LogicalLocation, AmrFlag>) {
+    assert!(
+        bytes.len().is_multiple_of(FLAG_RECORD_BYTES),
+        "flag payload framing"
+    );
+    for rec in bytes.chunks_exact(FLAG_RECORD_BYTES) {
+        let level = i32::from_le_bytes(rec[0..4].try_into().expect("level bytes"));
+        let lx1 = i64::from_le_bytes(rec[4..12].try_into().expect("lx1 bytes"));
+        let lx2 = i64::from_le_bytes(rec[12..20].try_into().expect("lx2 bytes"));
+        let lx3 = i64::from_le_bytes(rec[20..28].try_into().expect("lx3 bytes"));
+        let flag = match rec[28] {
+            0 => AmrFlag::Derefine,
+            1 => AmrFlag::Same,
+            2 => AmrFlag::Refine,
+            other => panic!("unknown flag byte {other}"),
+        };
+        flags.insert(LogicalLocation::new(level, lx1, lx2, lx3), flag);
     }
 }
 
@@ -1771,11 +2118,18 @@ mod tests {
 
     #[test]
     fn executed_graph_matches_exported_graph() {
-        let list = Driver::<Advect>::build_cycle_list();
-        let graph = list.graph();
-        assert_eq!(graph, cycle_task_graph());
+        let graph = cycle_task_graph();
+        assert_eq!(cycle_list::<Driver<Advect>>().graph(), graph);
+        assert_eq!(graph.len(), 22);
         let order = crate::tasks::topo_order(&graph).expect("cycle graph is a DAG");
         assert_eq!(order.len(), graph.len());
+        // Interior flux overlaps the in-flight exchange: it depends on
+        // PackSend, not on WaitUnpack, and ExteriorFlux joins both.
+        assert_eq!(graph[2].name, "Stage0::InteriorFlux");
+        assert_eq!(graph[2].deps, [1]);
+        assert_eq!(graph[4].deps, [2, 3]);
+        assert_eq!(graph[20].name, "Regrid");
+        assert_eq!(graph[20].deps, [19, 17]);
     }
 
     #[test]
@@ -1871,8 +2225,8 @@ mod tests {
             assert_eq!(a.nblocks, b.nblocks);
         }
         assert_eq!(
-            crate::shard::fingerprint_slots(plain.slots()),
-            crate::shard::fingerprint_slots(instrumented.slots()),
+            crate::fingerprint_slots(plain.slots()),
+            crate::fingerprint_slots(instrumented.slots()),
             "attribution instrumentation must not touch the numerics"
         );
         assert!(plain.task_spans().is_empty());
@@ -1913,5 +2267,66 @@ mod tests {
             },
         ];
         assert_eq!(map_block_costs(&old, &sources), [30, 50, 50, 25]);
+    }
+
+    /// A rank engine on the degenerate single-rank shared transport must
+    /// reproduce the driver bitwise, cycle for cycle.
+    #[test]
+    fn rank_engine_matches_driver_bitwise() {
+        let mut whole = driver(1);
+        let mut rank = driver(1).into_rank(Box::new(vibe_comm::SharedTransport::default()));
+        for _ in 0..4 {
+            let a = whole.step();
+            let b = rank.step();
+            assert_eq!(a.nblocks, b.nblocks);
+            assert_eq!(a.refined, b.refined);
+            assert_eq!(a.dt.to_bits(), b.dt.to_bits());
+        }
+        assert_eq!(rank.checkpoint(), whole.to_snapshot());
+        let out = rank.finish();
+        assert_eq!(
+            crate::fingerprint_slots(whole.slots()),
+            crate::fingerprint_slots(&out.slots)
+        );
+        assert_eq!(whole.history(), out.history.as_slice());
+        assert_eq!(whole.dt().to_bits(), out.dt.to_bits());
+    }
+
+    /// Two replicas of the same problem produce bitwise-identical init
+    /// state — the property full-replica rank initialization depends on.
+    #[test]
+    fn replica_initialization_is_bitwise_reproducible() {
+        let a = driver(4);
+        let b = driver(4);
+        assert_eq!(
+            crate::fingerprint_slots(a.slots()),
+            crate::fingerprint_slots(b.slots())
+        );
+        assert_eq!(a.dt().to_bits(), b.dt().to_bits());
+        assert_eq!(a.mesh().num_blocks(), b.mesh().num_blocks());
+    }
+
+    #[test]
+    fn flag_roundtrip_preserves_map() {
+        let mut flags = BTreeMap::new();
+        flags.insert(LogicalLocation::new(0, 0, 1, 0), AmrFlag::Refine);
+        flags.insert(LogicalLocation::new(2, 3, 2, 1), AmrFlag::Same);
+        flags.insert(LogicalLocation::new(1, 1, 0, 0), AmrFlag::Derefine);
+        let bytes = encode_flags(&flags);
+        let mut back = BTreeMap::new();
+        decode_flags_into(&bytes, &mut back);
+        assert_eq!(flags, back);
+    }
+
+    #[test]
+    fn block_payload_roundtrip() {
+        let d = driver(1);
+        let src = &d.slots()[0].data;
+        let mut dst = d.fresh_data();
+        deserialize_into(&mut dst, &serialize_block(src));
+        assert_eq!(
+            src.var(VarId(0)).data().as_slice(),
+            dst.var(VarId(0)).data().as_slice()
+        );
     }
 }

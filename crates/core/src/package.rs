@@ -60,7 +60,7 @@ impl Default for RefinementPolicy {
 /// ([`Package::initial_condition`]), its refinement thresholds
 /// ([`Package::refinement_policy`]), and labels for its history columns
 /// ([`Package::history_labels`]). These hooks let every layer — driver,
-/// rank shards, the service, the benchmarks — construct a problem from
+/// rank engines, the service, the benchmarks — construct a problem from
 /// nothing but a package resolved by name from a
 /// [`crate::registry::PackageRegistry`].
 pub trait Package {

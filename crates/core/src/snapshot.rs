@@ -26,6 +26,7 @@ use std::io::{self, Read, Write};
 use vibe_mesh::{DerefGate, LogicalLocation, Mesh, MeshParams};
 use vibe_prof::Recorder;
 
+use crate::block::BlockSlot;
 use crate::driver::{Driver, DriverParams};
 use crate::package::Package;
 
@@ -226,9 +227,42 @@ fn bad(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
 }
 
+/// One block's variables as snapshot entries.
+fn block_vars(slot: &BlockSlot) -> BlockVars {
+    slot.data
+        .vars()
+        .iter()
+        .map(|var| {
+            (
+                var.name().to_string(),
+                var.ncomp(),
+                var.data().as_slice().to_vec(),
+            )
+        })
+        .collect()
+}
+
 impl<P: Package> Driver<P> {
-    /// Captures the full restartable state as an in-memory [`Snapshot`].
+    /// Captures the full restartable state as an in-memory [`Snapshot`]:
+    /// the local case of [`Driver::checkpoint`], for an engine that holds
+    /// every block.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a rank engine, which holds only its own blocks (use the
+    /// collective [`Driver::checkpoint`]).
     pub fn to_snapshot(&self) -> Snapshot {
+        assert_eq!(
+            self.slots().len(),
+            self.mesh().num_blocks(),
+            "to_snapshot needs every block; rank engines use checkpoint()"
+        );
+        self.assemble_snapshot(self.slots().iter().map(block_vars).collect())
+    }
+
+    /// The one snapshot assembly: the replicated mesh and clock, the AMR
+    /// continuation state, and per-block variable data in gid order.
+    pub(crate) fn assemble_snapshot(&self, block_vars: Vec<BlockVars>) -> Snapshot {
         let mp = self.mesh().params();
         Snapshot {
             dim: mp.dim(),
@@ -240,24 +274,8 @@ impl<P: Package> Driver<P> {
             time: self.time(),
             dt: self.dt(),
             cycle: self.cycle(),
-            leaves: self.slots().iter().map(|s| s.info.loc).collect(),
-            block_vars: self
-                .slots()
-                .iter()
-                .map(|slot| {
-                    slot.data
-                        .vars()
-                        .iter()
-                        .map(|var| {
-                            (
-                                var.name().to_string(),
-                                var.ncomp(),
-                                var.data().as_slice().to_vec(),
-                            )
-                        })
-                        .collect()
-                })
-                .collect(),
+            leaves: self.mesh().blocks().iter().map(|b| b.loc()).collect(),
+            block_vars,
             gate: self.gate().entries(),
             history: self.history().to_vec(),
         }
@@ -417,29 +435,15 @@ fn w_block_vars<W: Write>(w: &mut W, vars: &[(String, usize, Vec<f64>)]) -> io::
     Ok(())
 }
 
-/// Encodes one rank's owned blocks as a checkpoint-collective payload:
+/// Encodes an engine's owned blocks as a checkpoint-collective payload:
 /// `count, then per block (gid, variable list)` in gid order. Used by
-/// [`RankShard::checkpoint`](crate::shard::RankShard::checkpoint).
-pub(crate) fn encode_rank_blocks(owned: &[Option<crate::block::BlockSlot>]) -> Vec<u8> {
+/// [`Driver::checkpoint`].
+pub(crate) fn encode_rank_blocks(slots: &[BlockSlot]) -> Vec<u8> {
     let mut buf = Vec::new();
-    let count = owned.iter().flatten().count() as u64;
-    w_u64(&mut buf, count).expect("vec write");
-    for (gid, slot) in owned.iter().enumerate() {
-        let Some(slot) = slot else { continue };
-        w_u64(&mut buf, gid as u64).expect("vec write");
-        let vars: Vec<(String, usize, Vec<f64>)> = slot
-            .data
-            .vars()
-            .iter()
-            .map(|var| {
-                (
-                    var.name().to_string(),
-                    var.ncomp(),
-                    var.data().as_slice().to_vec(),
-                )
-            })
-            .collect();
-        w_block_vars(&mut buf, &vars).expect("vec write");
+    w_u64(&mut buf, slots.len() as u64).expect("vec write");
+    for slot in slots {
+        w_u64(&mut buf, slot.info.gid as u64).expect("vec write");
+        w_block_vars(&mut buf, &block_vars(slot)).expect("vec write");
     }
     buf
 }
@@ -539,7 +543,7 @@ pub fn fresh_recorder() -> Recorder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::shard::fingerprint_slots;
+    use crate::fingerprint_slots;
     use crate::test_package::Advect;
     use vibe_field::BlockData;
     use vibe_mesh::MeshParams;
@@ -773,18 +777,15 @@ mod tests {
         let mut d = driver_with(16, 1);
         d.run_cycles(1);
         let snap = d.to_snapshot();
-        let owned: Vec<Option<crate::block::BlockSlot>> = {
-            let parts = d.into_parts();
-            parts
-                .slots
-                .into_iter()
-                .enumerate()
-                .map(|(gid, s)| (gid % 2 == 0).then_some(s))
-                .collect()
-        };
+        let owned: Vec<BlockSlot> = d
+            .slots()
+            .iter()
+            .filter(|s| s.info.gid % 2 == 0)
+            .cloned()
+            .collect();
         let payload = encode_rank_blocks(&owned);
         let decoded = decode_rank_blocks(&payload).unwrap();
-        assert_eq!(decoded.len(), owned.iter().flatten().count());
+        assert_eq!(decoded.len(), owned.len());
         for (gid, vars) in &decoded {
             assert_eq!(*gid % 2, 0);
             assert_eq!(vars, &snap.block_vars[*gid]);

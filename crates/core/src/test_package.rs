@@ -3,7 +3,7 @@
 //! first-order upwind fluxes.
 //!
 //! This is deliberately the smallest possible [`Package`] — core's own
-//! driver/shard/snapshot tests need *some* physics to exercise the
+//! driver/snapshot tests need *some* physics to exercise the
 //! framework, but core ships none (the trait lives here, packages live in
 //! `vibe-physics` and `vibe-burgers`). The module is compiled only under
 //! `cfg(test)` and never exported.

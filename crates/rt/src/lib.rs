@@ -1,18 +1,19 @@
 //! # vibe-rt
 //!
 //! The rank-parallel distributed runtime: executes every virtual rank as a
-//! **real concurrent shard** — one OS thread per rank, each running the
-//! per-cycle task graph over its own blocks only — connected by the
-//! channel-backed [`Transport`](vibe_comm::Transport) fabric. This turns
-//! the single-process driver's *accounting* of rank communication into an
-//! actual distributed-memory execution: ghost exchanges, flux corrections,
-//! and block migrations cross real channels; refinement-flag reconciliation
-//! and the timestep reduction run as real collectives through the
-//! rendezvous hub.
+//! **real concurrent rank engine** — one OS thread per rank, each a
+//! [`Driver`](vibe_core::Driver) turned into the engine of that one rank by
+//! [`Driver::into_rank`](vibe_core::Driver::into_rank) — connected by the
+//! channel-backed [`Transport`](vibe_comm::Transport) fabric. The same
+//! cycle engine that runs every virtual rank in one address space then
+//! performs an actual distributed-memory execution: ghost exchanges, flux
+//! corrections, and block migrations cross real channels; refinement-flag
+//! reconciliation, history, and the timestep reduction run as real
+//! collectives through the rendezvous hub.
 //!
 //! The headline invariant (checked in this crate's tests and the CI gate):
 //! the merged global solution fingerprint is **bitwise identical** to the
-//! single-shard [`Driver`](vibe_core::Driver) for any `(nranks,
+//! single-process [`Driver`](vibe_core::Driver) for any `(nranks,
 //! host_threads)` combination.
 //!
 //! See [`run_distributed`] for the entry point; this crate's tests show a
@@ -29,8 +30,7 @@ use vibe_comm::{
     CommEvent, Transport,
 };
 use vibe_core::driver::CycleSummary;
-use vibe_core::shard::{fingerprint_slots, RankShard, ShardOutput};
-use vibe_core::{Driver, Package, Snapshot};
+use vibe_core::{fingerprint_slots, Driver, Package, RankOutput, Snapshot};
 use vibe_ft::{ChaosTransport, FaultPlan, InjectedKill};
 use vibe_prof::{
     attribute_run, build_span_graph, perfetto_multirank_trace_json,
@@ -44,12 +44,12 @@ pub use recovery::{run_resilient, RecoveryReport, ResilienceOptions};
 /// The merged result of a rank-parallel run.
 #[derive(Debug)]
 pub struct RtRun {
-    /// Rank shards executed.
+    /// Rank engines executed.
     pub nranks: usize,
     /// Cycles advanced.
     pub cycles: u64,
     /// FNV-1a fingerprint of the merged global solution (bitwise
-    /// comparable against the single-shard driver's).
+    /// comparable against the single-process driver's).
     pub fingerprint: u64,
     /// Final simulation time.
     pub time: f64,
@@ -114,19 +114,19 @@ impl RtRun {
     }
 }
 
-/// Runs `cycles` timesteps with `nranks` concurrent rank shards over a
+/// Runs `cycles` timesteps with `nranks` concurrent rank engines over a
 /// channel transport fabric and merges the results.
 ///
 /// `make_replica` must build (and initialize) a deterministic replica of
-/// the problem: it is invoked once on every rank thread, and the shards
-/// rely on replica initialization being bitwise reproducible — the same
-/// property that makes the driver's own runs reproducible. The driver's
-/// `nranks` parameter must equal `nranks` here (the shard constructor
-/// asserts this).
+/// the problem: it is invoked once on every rank thread, and the rank
+/// engines rely on replica initialization being bitwise reproducible — the
+/// same property that makes the driver's own runs reproducible. The
+/// driver's `nranks` parameter must equal `nranks` here
+/// ([`Driver::into_rank`] asserts this).
 ///
 /// # Panics
 ///
-/// Panics if a shard thread panics (e.g. on a collective rendezvous
+/// Panics if a rank thread panics (e.g. on a collective rendezvous
 /// mismatch), if the merged event log violates the multi-rank ordering
 /// invariants, or if the ranks disagree on time, dt, or history — all of
 /// which indicate a broken determinism invariant rather than a recoverable
@@ -154,7 +154,7 @@ where
     F: Fn() -> Driver<P> + Sync,
 {
     assert!(nranks > 0, "at least one rank");
-    // Pin the process-global span epoch before any shard thread starts, so
+    // Pin the process-global span epoch before any rank thread starts, so
     // every per-rank wall clock (created afterwards) sits at a non-negative
     // offset from it and trace streams can be rebased without underflow.
     let epoch = span_epoch();
@@ -165,17 +165,17 @@ where
             .into_iter()
             .map(|transport| {
                 s.spawn(move || {
-                    let mut shard = RankShard::from_replica(make_replica(), Box::new(transport));
-                    shard.barrier("rt-cycles-begin");
+                    let mut engine = make_replica().into_rank(Box::new(transport));
+                    engine.barrier("rt-cycles-begin");
                     let start = Instant::now();
-                    let summaries = shard.run_cycles(cycles);
-                    shard.barrier("rt-cycles-end");
+                    let summaries = engine.run_cycles(cycles);
+                    engine.barrier("rt-cycles-end");
                     let wall_ns = start.elapsed().as_nanos() as u64;
-                    (summaries, wall_ns, shard.finish())
+                    (summaries, wall_ns, engine.finish())
                 })
             })
             .collect();
-        let mut results: Vec<(Vec<CycleSummary>, u64, ShardOutput)> = Vec::new();
+        let mut results: Vec<RankExit> = Vec::new();
         let mut failures: Vec<RankFailure> = Vec::new();
         for (rank, h) in handles.into_iter().enumerate() {
             match h.join() {
@@ -188,7 +188,7 @@ where
     if let Some(err) = pick_root_cause(failures) {
         return Err(err);
     }
-    Ok(merge_shard_results(nranks, cycles, epoch, results))
+    Ok(merge_rank_outputs(nranks, cycles, epoch, results))
 }
 
 /// One rank thread's classified death: who, why, and whether the fault
@@ -249,7 +249,7 @@ fn pick_root_cause(failures: Vec<RankFailure>) -> Option<SessionError> {
     })
 }
 
-/// Merges per-rank shard outputs — collected by [`run_distributed`]'s
+/// Merges per-rank engine outputs — collected by [`run_distributed`]'s
 /// scoped threads or an [`RtSession`]'s persistent ones — into one
 /// [`RtRun`]: global gid-ordered slots and their fingerprint, the
 /// seq-sorted validated event log, absorbed recorders, span-epoch-rebased
@@ -258,19 +258,19 @@ fn pick_root_cause(failures: Vec<RankFailure>) -> Option<SessionError> {
 ///
 /// # Panics
 ///
-/// Panics when the merged outputs violate a determinism invariant: shard
+/// Panics when the merged outputs violate a determinism invariant: rank
 /// ownership not tiling the mesh, a mis-ordered event log, or ranks
 /// disagreeing on collective-derived scalars.
-fn merge_shard_results(
+fn merge_rank_outputs(
     nranks: usize,
     cycles: u64,
     epoch: Instant,
-    mut results: Vec<(Vec<CycleSummary>, u64, ShardOutput)>,
+    mut results: Vec<RankExit>,
 ) -> RtRun {
     results.sort_by_key(|(_, _, out)| out.rank);
 
     // Merge owned blocks back into the global gid order and fingerprint.
-    let mut slots: Vec<(usize, vibe_core::BlockSlot)> = Vec::new();
+    let mut slots: Vec<vibe_core::BlockSlot> = Vec::new();
     let mut rank_blocks = vec![0usize; nranks];
     let mut events: Vec<CommEvent> = Vec::new();
     let mut rank_wall_ns = Vec::with_capacity(nranks);
@@ -279,9 +279,9 @@ fn merge_shard_results(
     let mut spans: Vec<TaskSpan> = Vec::new();
     let mut wait_probes = vec![WaitProbes::default(); nranks];
     for (_, wall_ns, out) in &mut results {
-        rank_blocks[out.rank] = out.owned.len();
+        rank_blocks[out.rank] = out.slots.len();
         rank_wall_ns.push(*wall_ns);
-        slots.append(&mut out.owned);
+        slots.append(&mut out.slots);
         events.append(&mut out.events);
         wait_probes[out.rank] = out.probes;
         spans.append(&mut out.spans);
@@ -301,12 +301,14 @@ fn merge_shard_results(
             None => recorder = Some(out.recorder.clone()),
         }
     }
-    slots.sort_by_key(|(gid, _)| *gid);
-    for (expect, (gid, _)) in slots.iter().enumerate() {
-        assert_eq!(*gid, expect, "merged shard ownership must tile the mesh");
+    slots.sort_by_key(|s| s.info.gid);
+    for (expect, slot) in slots.iter().enumerate() {
+        assert_eq!(
+            slot.info.gid, expect,
+            "merged rank ownership must tile the mesh"
+        );
     }
-    let merged: Vec<vibe_core::BlockSlot> = slots.into_iter().map(|(_, s)| s).collect();
-    let fingerprint = fingerprint_slots(&merged);
+    let fingerprint = fingerprint_slots(&slots);
 
     events.sort_by_key(|e| e.seq);
     let dependency_edges = validate_multirank_event_order(&events, nranks)
@@ -401,14 +403,15 @@ fn merge_shard_results(
 }
 
 /// A command the session conductor sends every rank thread. Commands are
-/// broadcast in identical order, so shards stay in collective lockstep.
+/// broadcast in identical order, so rank engines stay in collective
+/// lockstep.
 #[derive(Clone, Copy)]
 enum Cmd {
     /// Advance this many cycles.
     Run(u64),
     /// Assemble a checkpoint collective at the current cycle boundary.
     Checkpoint,
-    /// Stop the command loop and finish the shard.
+    /// Stop the command loop and finish the rank engine.
     Finish,
 }
 
@@ -420,7 +423,7 @@ enum Reply {
 
 /// A distributed run failed — classified, not hung.
 ///
-/// A single shard panic cascades: its dropped transport abandons the
+/// A single rank panic cascades: its dropped transport abandons the
 /// collective hub, unblocking peers by panicking, and the mailbox's
 /// fabric-health check panics spinning point-to-point waiters, so the
 /// whole session reports failure instead of deadlocking. The conductor
@@ -496,14 +499,14 @@ pub struct SessionOptions {
 }
 
 /// What a rank thread hands back when it exits: per-cycle summaries, the
-/// cycle count it completed, and the shard's merged output.
-type RankExit = (Vec<CycleSummary>, u64, ShardOutput);
+/// wall time of its cycle loop (ns), and the rank engine's output.
+type RankExit = (Vec<CycleSummary>, u64, RankOutput);
 
 /// A preemptible, resumable distributed run: the persistent-thread variant
 /// of [`run_distributed`].
 ///
 /// Where `run_distributed` spawns rank threads for one fixed cycle count,
-/// a session keeps its rank shards alive between commands so a scheduler
+/// a session keeps its rank engines alive between commands so a scheduler
 /// can advance a job in budget-sized slices, [`checkpoint`] it at a cycle
 /// boundary, and tear it down — then later resume the checkpoint in a
 /// *new* session under a different `(nranks, host_threads)` configuration
@@ -514,7 +517,7 @@ type RankExit = (Vec<CycleSummary>, u64, ShardOutput);
 ///
 /// Dropping a session without calling [`finish`] is the preempt path: the
 /// conductor hangs up the command channels, every rank thread exits its
-/// loop, finishes its shard, and is joined — no thread leaks and no
+/// loop, finishes its rank engine, and is joined — no thread leaks and no
 /// gather-hub deadlock (an interrupted collective is abandoned by the
 /// departing endpoints).
 ///
@@ -535,8 +538,8 @@ pub struct RtSession<P: Package> {
 }
 
 impl<P: Package> RtSession<P> {
-    /// Spawns `nranks` persistent rank threads, each building its shard
-    /// from `make_replica()` — a freshly initialized problem, or a
+    /// Spawns `nranks` persistent rank threads, each building its rank
+    /// engine from `make_replica()` — a freshly initialized problem, or a
     /// checkpoint restored via
     /// [`restore_driver`](vibe_core::restore_driver) to resume a preempted
     /// run (possibly under a different rank/thread configuration than the
@@ -587,8 +590,8 @@ impl<P: Package> RtSession<P> {
                         }
                         None => Box::new(transport),
                     };
-                    let mut shard = RankShard::from_replica(make(), wire);
-                    shard.barrier("rt-session-begin");
+                    let mut engine = make().into_rank(wire);
+                    engine.barrier("rt-session-begin");
                     let mut all: Vec<CycleSummary> = Vec::new();
                     let mut wall_ns = 0u64;
                     let mut cur = start_cycle;
@@ -612,7 +615,7 @@ impl<P: Package> RtSession<P> {
                                             });
                                         }
                                     }
-                                    summaries.push(shard.step());
+                                    summaries.push(engine.step());
                                     cur += 1;
                                     beats[rank].store(cur, Ordering::SeqCst);
                                 }
@@ -621,7 +624,7 @@ impl<P: Package> RtSession<P> {
                                 let _ = rtx.send(Reply::Ran(summaries));
                             }
                             Ok(Cmd::Checkpoint) => {
-                                let snap = shard.checkpoint();
+                                let snap = engine.checkpoint();
                                 let _ = rtx.send(Reply::Snapshot(Box::new(snap)));
                             }
                             // Finish, or the conductor hung up (session
@@ -629,8 +632,8 @@ impl<P: Package> RtSession<P> {
                             Ok(Cmd::Finish) | Err(_) => break,
                         }
                     }
-                    shard.barrier("rt-session-end");
-                    (all, wall_ns, shard.finish())
+                    engine.barrier("rt-session-end");
+                    (all, wall_ns, engine.finish())
                 })
             })
             .map(Some)
@@ -802,7 +805,7 @@ impl<P: Package> RtSession<P> {
 
     /// Assembles a full checkpoint at the current cycle boundary: every
     /// rank contributes its owned blocks over the checkpoint collective
-    /// (see [`RankShard::checkpoint`]) and the conductor returns rank 0's
+    /// (see [`Driver::checkpoint`]) and the conductor returns rank 0's
     /// copy of the identical snapshot. The session remains runnable —
     /// checkpointing is non-destructive.
     ///
@@ -857,7 +860,7 @@ impl<P: Package> RtSession<P> {
         if let Some(err) = pick_root_cause(failures) {
             return Err(err);
         }
-        Ok(merge_shard_results(
+        Ok(merge_rank_outputs(
             self.nranks,
             self.cycles,
             self.epoch,
@@ -970,7 +973,7 @@ mod tests {
     }
 
     /// The headline invariant: the merged rank-parallel solution is
-    /// bitwise identical to the single-shard driver across rank counts,
+    /// bitwise identical to the single-process driver across rank counts,
     /// through cycles that refine, migrate, and derefine blocks.
     #[test]
     fn rank_parallel_fingerprint_matches_driver() {
@@ -992,7 +995,8 @@ mod tests {
         }
     }
 
-    /// Host-thread count inside each shard must not perturb the solution.
+    /// Host-thread count inside each rank engine must not perturb the
+    /// solution.
     #[test]
     fn host_threads_do_not_perturb_distributed_solution() {
         let cycles = 4;
@@ -1157,7 +1161,7 @@ mod tests {
             // Preempt: tear the session down without finishing it.
             drop(first);
 
-            // Resume elastically on a different shard/thread layout.
+            // Resume elastically on a different rank/thread layout.
             let (nranks, threads) = if boundary % 2 == 0 { (4, 1) } else { (3, 2) };
             let make = {
                 let snap = Arc::clone(&snap);
@@ -1229,7 +1233,7 @@ mod tests {
         std::fs::read_dir("/proc/self/task").map_or(0, |d| d.count())
     }
 
-    /// Real cross-shard traffic exists and the merged log is causal: the
+    /// Real cross-rank traffic exists and the merged log is causal: the
     /// validator must count send→complete edges from remote deliveries.
     #[test]
     fn merged_event_log_shows_cross_rank_traffic() {

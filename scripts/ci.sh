@@ -30,6 +30,12 @@ cargo build --workspace --release --offline
 echo "==> tier-1: tests"
 cargo test -q --workspace --offline
 
+echo "==> benchmark tests (vibebench)"
+# The benchmark package's own tests: its golden fingerprint
+# (d7a226efd9726631), its 1-vs-2-rank fingerprint equality, and a failing
+# case for every check, all run against the current engine.
+cargo test --release --offline --manifest-path vibebench/Cargo.toml
+
 echo "==> instrumented smoke (trace_probe)"
 # Full-profiling run: exits nonzero if profiling perturbs the state or the
 # exporters emit malformed JSON (the probe self-validates both).
